@@ -52,9 +52,10 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
+use bgp_types::durable::{fnv1a, write_atomic, FNV_OFFSET};
 use bgp_types::par::{effective_threads, par_map_indexed};
 use bgp_types::{Community, Intent};
 
@@ -67,17 +68,6 @@ pub const ARTIFACT_VERSION: u32 = 1;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 48;
-
-// FNV-1a 64 (same constants as the checkpoint manifest checksum).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// One classified community as served from (or written into) an artifact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -333,19 +323,7 @@ pub fn encode_artifact(rows: &[LabelRow]) -> io::Result<Vec<u8>> {
 /// `path`. A crash at any point leaves either the previous artifact or
 /// the new one — never a torn file (the precondition for mmap serving).
 pub fn write_artifact_atomic(path: &Path, rows: &[LabelRow]) -> io::Result<()> {
-    let bytes = encode_artifact(rows)?;
-    let tmp = path.with_file_name(format!(
-        "{}.tmp",
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact".to_string())
-    ));
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    write_atomic(path, &encode_artifact(rows)?)
 }
 
 /// The memory-mapped (unix) backing; plain `Vec<u8>` everywhere else and

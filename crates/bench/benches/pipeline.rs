@@ -22,10 +22,10 @@ use bgp_intent::{
     run_watch, StatsAccumulator, WatchOptions, WindowConfig,
 };
 use bgp_mrt::obs::{
-    read_observations_parallel_store, read_observations_resilient_into,
+    read_observations_parallel_store_telemetry, read_observations_resilient_into,
     read_observations_resilient_reference, write_update_stream,
 };
-use bgp_mrt::{MemoryFeed, RecoverConfig, StreamTuning};
+use bgp_mrt::{IngestTuning, MemoryFeed, RecoverConfig, StreamTuning};
 use bgp_types::obs::Telemetry;
 use bgp_types::store::ObservationStore;
 use bgp_types::Asn;
@@ -305,7 +305,13 @@ fn bench_pipeline(c: &mut Criterion) {
         })
         .collect();
     let large_run = || {
-        let (files, report) = read_observations_parallel_store(&large_paths, &recover, 0);
+        let (files, report) = read_observations_parallel_store_telemetry(
+            &large_paths,
+            &recover,
+            &IngestTuning::default(),
+            0,
+            &Telemetry::disabled(),
+        );
         assert!(report.is_clean(), "pristine archive decoded with errors");
         let mut merged = ObservationStore::new();
         for file in &files {

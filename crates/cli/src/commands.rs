@@ -17,8 +17,7 @@ use bgp_intent::{
     InferenceConfig, PipelineResult, StatsAccumulator,
 };
 use bgp_mrt::obs::{
-    read_observations_parallel_store_telemetry, read_observations_parallel_strict_with,
-    write_rib_dump, write_update_stream,
+    read_observations_parallel_store_telemetry, write_rib_dump, write_update_stream,
 };
 use bgp_mrt::{FlakyConfig, IngestReport, IngestTuning, RecoverConfig};
 use bgp_relationships::SiblingMap;
@@ -95,8 +94,10 @@ INGESTION (stats, infer):
     By default damaged MRT input degrades gracefully: the reader skips
     undecodable records, resynchronizes past framing corruption, and prints
     an ingest summary to stderr.
-    --strict        Abort on the first decode error (exit code 2).
-    --max-errors N  Abort once more than N records fail to decode (exit 3).
+    --strict        Abort on the first decode error (exit code 2): an
+                    error budget of zero.
+    --max-errors N  Abort once more than N decode errors occur (exit 3).
+                    Dropped RIB entries (peer index out of range) count.
     --report FILE   Write the machine-readable ingest report (JSON) to FILE,
                     or to stdout if FILE is `-`.
     --threads N     Worker threads: MRT files decode in parallel (one file
@@ -377,7 +378,9 @@ fn mrt_files(args: &Args) -> Result<Vec<String>, String> {
 }
 
 /// Ingestion policy assembled from `--strict`, `--max-errors`, `--report`,
-/// `--threads`, the retry knob, and the fault-injection hooks.
+/// `--threads`, the retry knob, and the fault-injection hooks. `--strict`
+/// is an error budget of zero; the flag itself is kept only to pick its
+/// exit code and to refuse the modes that need lenient ingestion.
 struct IngestOptions {
     strict: bool,
     recover: RecoverConfig,
@@ -390,6 +393,9 @@ impl IngestOptions {
     fn from_args(args: &Args) -> Result<Self, String> {
         let strict = args.flag("strict");
         let mut recover = RecoverConfig::default();
+        if strict {
+            recover.max_errors = Some(0);
+        }
         if let Some(raw) = args.get_str("max-errors") {
             let limit: u64 = raw
                 .parse()
@@ -482,40 +488,25 @@ impl TelemetryOptions {
 
 /// Load observations from every `--mrt` file under the chosen policy.
 ///
-/// Strict mode returns the first decode error (exit code 2) and no report;
-/// lenient mode always salvages what it can and returns the merged
-/// [`IngestReport`]. An aborted lenient ingest (error budget exceeded,
-/// unrecoverable I/O) becomes exit code 3 *after* the report is written, so
-/// scripts still get the accounting.
+/// Every file decodes straight into a per-file columnar store; folding
+/// them in input order reproduces the sequential single-sink read, so no
+/// flat `Vec<Observation>` is ever materialized. The merged
+/// [`IngestReport`] is written (`--report`) before any failure is
+/// returned, so scripts still get the accounting. An aborted ingest is
+/// exit code 2 under `--strict` (its budget of zero names the first decode
+/// error) and exit code 3 otherwise (error budget exceeded, unrecoverable
+/// I/O).
 fn load_observations(
     paths: &[String],
     opts: &IngestOptions,
     tel: &Telemetry,
-) -> Result<(ObservationStore, Option<IngestReport>), Failure> {
+) -> Result<(ObservationStore, IngestReport), Failure> {
     // Unreadable input is a usage error (exit 1) in both modes, checked up
     // front so it is reported before any decode work fans out.
     for path in paths {
         File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     }
     let path_bufs: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
-
-    if opts.strict {
-        let per_file =
-            read_observations_parallel_strict_with(&path_bufs, &opts.tuning, opts.threads)
-                .map_err(|(path, e)| {
-                    Failure::new(EXIT_DECODE, format!("parse {}: {e}", path.display()))
-                })?;
-        let mut store = ObservationStore::new();
-        for (path, parsed) in paths.iter().zip(per_file) {
-            eprintln!("{path}: {} observations", parsed.len());
-            store.extend_from_slice(&parsed);
-        }
-        return Ok((store, None));
-    }
-
-    // Lenient: every file decodes straight into a per-file columnar store;
-    // folding them in input order reproduces the sequential single-sink
-    // read, so no flat Vec<Observation> is ever materialized.
     let (files, merged) = read_observations_parallel_store_telemetry(
         &path_bufs,
         &opts.recover,
@@ -537,13 +528,14 @@ fn load_observations(
         store.merge(&file.store);
     }
     write_report(&merged, opts)?;
-    if let Some(why) = aborted {
-        return Err(Failure::new(
+    match aborted {
+        Some(why) if opts.strict => Err(Failure::new(EXIT_DECODE, format!("parse {why}"))),
+        Some(why) => Err(Failure::new(
             EXIT_ABORTED,
             format!("ingestion aborted: {why}"),
-        ));
+        )),
+        None => Ok((store, merged)),
     }
-    Ok((store, Some(merged)))
 }
 
 /// Honor `--report FILE` (or `-` for stdout) with the merged ingest report.
@@ -613,10 +605,8 @@ pub fn stats(raw: Vec<String>) -> Result<(), Failure> {
     println!("unique tuples       : {}", tuples.len());
     println!("distinct communities: {}", communities.len());
     println!("community owners    : {}", owners.len());
-    if let Some(report) = &report {
-        if !report.is_clean() {
-            println!("ingest degradation  : {}", report.summary());
-        }
+    if !report.is_clean() {
+        println!("ingest degradation  : {}", report.summary());
     }
     Ok(())
 }
@@ -997,7 +987,7 @@ pub fn infer(raw: Vec<String>) -> Result<(), Failure> {
                 let (store, report) = load_observations(&mrt_files(&args)?, &opts, tel)?;
                 let mut result =
                     run_inference_store_telemetry(&store, &siblings, &cfg, dict.as_ref(), tel);
-                result.ingest = report;
+                result.ingest = Some(report);
                 Ok(result)
             }
         }

@@ -33,11 +33,12 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
+use bgp_types::durable::{fnv1a, write_atomic, FNV_OFFSET};
 use bgp_types::fx::{fx_hash_one, FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
 use bgp_types::store::ObservationStore;
@@ -553,17 +554,6 @@ pub struct FileFingerprint {
     pub hash: u64,
 }
 
-/// FNV-1a 64 offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into a running FNV-1a 64 `hash`.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Fingerprint a file by streaming its contents (FNV-1a 64).
 pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
     let mut file = File::open(path)?;
@@ -736,34 +726,14 @@ impl Checkpoint {
     /// [`load`](Self::load) verifies. Canonical (compact) serialization of
     /// the in-memory value, so whitespace never participates.
     pub fn payload_checksum(&self) -> u64 {
-        let mut plain = self.clone();
-        plain.checksum = 0;
-        let json = serde_json::to_string(&plain).expect("in-memory checkpoint always serializes");
-        fnv1a(FNV_OFFSET, json.as_bytes())
+        unsealed_checksum(&mut self.clone())
     }
 
-    /// Write the manifest atomically: seal the payload checksum, serialize
-    /// to `<path>.tmp` in the same directory, fsync, then rename over
-    /// `path`. A crash at any point leaves either the previous checkpoint
-    /// or the new one — never a torn file.
+    /// Write the manifest atomically (pretty JSON): seal the payload
+    /// checksum, then [`write_atomic`]. A crash at any point leaves either
+    /// the previous checkpoint or the new one — never a torn file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        let mut sealed = self.clone();
-        sealed.checksum = sealed.payload_checksum();
-        let json = serde_json::to_string_pretty(&sealed)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "checkpoint".to_string())
-        ));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(json.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        save_sealed(self, path, serde_json::to_string_pretty)
     }
 
     /// Load and validate a manifest: parse, check the schema, then verify
@@ -771,34 +741,88 @@ impl Checkpoint {
     /// flips that alter any recorded state are rejected with a typed
     /// [`CheckpointLoadError`] — never a panic, never partial state.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointLoadError> {
-        let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let cp: Checkpoint =
-            serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
-        if cp.schema != CHECKPOINT_SCHEMA {
-            return Err(CheckpointLoadError::SchemaMismatch {
-                path: path.to_path_buf(),
-                found: cp.schema,
-                expected: CHECKPOINT_SCHEMA,
-            });
-        }
-        let expected = cp.payload_checksum();
-        if cp.checksum != expected {
-            return Err(CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "payload checksum {:#018x} recorded, {expected:#018x} computed",
-                    cp.checksum
-                ),
-            });
-        }
-        Ok(cp)
+        load_sealed(path)
     }
+}
+
+impl Sealed for Checkpoint {
+    const SCHEMA: u32 = CHECKPOINT_SCHEMA;
+
+    fn schema(&self) -> u32 {
+        self.schema
+    }
+
+    fn checksum_mut(&mut self) -> &mut u64 {
+        &mut self.checksum
+    }
+}
+
+/// A checksummed ("sealed") JSON manifest: a `schema` stamp plus a
+/// `checksum` field holding FNV-1a 64 over the value serialized compactly
+/// with that field zeroed. [`Checkpoint`] and the watch daemon's
+/// checkpoint share this format and its loader.
+pub(crate) trait Sealed: Clone + Serialize + for<'de> Deserialize<'de> {
+    /// The layout version this build reads and writes.
+    const SCHEMA: u32;
+    /// The layout version recorded in this value.
+    fn schema(&self) -> u32;
+    /// The embedded checksum field.
+    fn checksum_mut(&mut self) -> &mut u64;
+}
+
+/// The checksum of `value` with its checksum field zeroed (restored
+/// before returning).
+pub(crate) fn unsealed_checksum<T: Sealed>(value: &mut T) -> u64 {
+    let recorded = std::mem::take(value.checksum_mut());
+    let json = serde_json::to_string(value).expect("in-memory checkpoint always serializes");
+    *value.checksum_mut() = recorded;
+    fnv1a(FNV_OFFSET, json.as_bytes())
+}
+
+/// Seal `value`'s checksum, render it with `render` (pretty or compact
+/// JSON), and write it plus a trailing newline with [`write_atomic`].
+pub(crate) fn save_sealed<T: Sealed>(
+    value: &T,
+    path: &Path,
+    render: fn(&T) -> serde_json::Result<String>,
+) -> io::Result<()> {
+    let mut sealed = value.clone();
+    *sealed.checksum_mut() = unsealed_checksum(&mut sealed);
+    let mut json =
+        render(&sealed).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    json.push('\n');
+    write_atomic(path, json.as_bytes())
+}
+
+/// Read and validate a sealed manifest: parse, check the schema, verify
+/// the checksum. Every failure is a typed [`CheckpointLoadError`].
+pub(crate) fn load_sealed<T: Sealed>(path: &Path) -> Result<T, CheckpointLoadError> {
+    let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    let mut value: T = serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    })?;
+    if value.schema() != T::SCHEMA {
+        return Err(CheckpointLoadError::SchemaMismatch {
+            path: path.to_path_buf(),
+            found: value.schema(),
+            expected: T::SCHEMA,
+        });
+    }
+    let recorded = *value.checksum_mut();
+    let expected = unsealed_checksum(&mut value);
+    if recorded != expected {
+        return Err(CheckpointLoadError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!(
+                "payload checksum {recorded:#018x} recorded, {expected:#018x} computed"
+            ),
+        });
+    }
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -50,7 +50,10 @@ use bgp_types::obs::MetricsRegistry;
 use bgp_types::{Asn, Community, Intent, Observation};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{fnv1a, CheckpointLoadError, StatsAccumulator, StatsSnapshot, FNV_OFFSET};
+use crate::checkpoint::{
+    load_sealed, save_sealed, unsealed_checksum, CheckpointLoadError, Sealed, StatsAccumulator,
+    StatsSnapshot,
+};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
 
@@ -556,67 +559,34 @@ impl WatchCheckpoint {
 
     /// The checksum of everything but the checksum field itself.
     pub fn payload_checksum(&self) -> u64 {
-        let mut unsealed = self.clone();
-        unsealed.checksum = 0;
-        let json = serde_json::to_string(&unsealed).expect("checkpoint serialization cannot fail");
-        fnv1a(FNV_OFFSET, json.as_bytes())
+        unsealed_checksum(&mut self.clone())
     }
 
-    /// Write atomically: seal the checksum, serialize to `<path>.tmp`,
-    /// fsync, rename. A crash at any point leaves the previous checkpoint
-    /// or this one — never a torn file.
+    /// Write atomically (compact JSON): seal the checksum, then
+    /// [`write_atomic`](bgp_types::durable::write_atomic). A crash at any
+    /// point leaves the previous checkpoint or this one — never a torn
+    /// file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        use std::io::Write;
-        let mut sealed = self.clone();
-        sealed.checksum = sealed.payload_checksum();
-        let json = serde_json::to_string(&sealed)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "watch-checkpoint".to_string())
-        ));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(json.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        save_sealed(self, path, serde_json::to_string)
     }
 
     /// Load and validate: parse, check the schema, verify the checksum.
     /// Truncation and bit flips are rejected with a typed error, never a
     /// panic or partial state.
     pub fn load(path: &Path) -> Result<WatchCheckpoint, CheckpointLoadError> {
-        let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let cp: WatchCheckpoint =
-            serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
-        if cp.schema != WATCH_CHECKPOINT_SCHEMA {
-            return Err(CheckpointLoadError::SchemaMismatch {
-                path: path.to_path_buf(),
-                found: cp.schema,
-                expected: WATCH_CHECKPOINT_SCHEMA,
-            });
-        }
-        let expected = cp.payload_checksum();
-        if cp.checksum != expected {
-            return Err(CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "payload checksum {:#018x} recorded, {expected:#018x} computed",
-                    cp.checksum
-                ),
-            });
-        }
-        Ok(cp)
+        load_sealed(path)
+    }
+}
+
+impl Sealed for WatchCheckpoint {
+    const SCHEMA: u32 = WATCH_CHECKPOINT_SCHEMA;
+
+    fn schema(&self) -> u32 {
+        self.schema
+    }
+
+    fn checksum_mut(&mut self) -> &mut u64 {
+        &mut self.checksum
     }
 }
 

@@ -76,6 +76,11 @@ impl MrtError {
         }
     }
 
+    /// A RIB entry whose peer index falls outside the current peer table.
+    pub(crate) fn unknown_peer(index: u16) -> Self {
+        MrtError::malformed("RIB entry", format!("peer index {index} out of range"))
+    }
+
     /// The coarse kind of this error, for counting.
     pub fn kind(&self) -> MrtErrorKind {
         match self {

@@ -79,7 +79,7 @@ pub use faults::{
     FaultConfig, FaultInjector, FaultKind, FaultLog, FaultyStream, FlakyConfig, FlakyReader,
     StreamFaultConfig, StreamFaultInjector, StreamFaultKind, StreamFaultLog,
 };
-pub use obs::{FileIngest, FileStoreIngest, IngestTuning, StreamDecoder, StreamStep};
+pub use obs::{FileStoreIngest, IngestTuning, StreamDecoder, StreamStep};
 pub use readahead::Readahead;
 pub use reader::MrtReader;
 pub use records::{MrtRecord, TimestampedRecord};

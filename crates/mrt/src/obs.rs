@@ -28,7 +28,7 @@ use crate::records::{
 };
 use crate::recover::{IngestReport, RecoverConfig, RecoveringReader};
 use crate::retry::{RetryPolicy, RetryingReader};
-use crate::view::{EntryPolicy, RecordScratch};
+use crate::view::RecordScratch;
 use crate::writer::MrtWriter;
 
 /// Synthesize a stable address for vantage point number `idx`.
@@ -155,36 +155,22 @@ pub fn write_update_stream<W: Write>(
     Ok(writer.records_written())
 }
 
-/// Fold one decoded record into an [`ObservationSink`] — a plain
-/// `Vec<Observation>` for the historical slice APIs, or a columnar
-/// [`ObservationStore`] when ingestion feeds the analysis pipeline
-/// directly (no intermediate vector of per-record heap graphs).
-///
-/// Returns the number of entries dropped under [`EntryPolicy::Skip`]; under
-/// [`EntryPolicy::Abort`] the first invalid entry aborts with an error.
+/// Fold one owned record into an [`ObservationSink`]. A RIB entry whose
+/// peer index falls outside the peer table is dropped and handed to
+/// `reject` as its error, exactly like [`RecordScratch::emit`].
 fn accumulate<S: ObservationSink>(
     rec: TimestampedRecord,
     peers: &mut Vec<PeerEntry>,
     sink: &mut S,
-    policy: EntryPolicy,
-) -> Result<u64, MrtError> {
-    let mut dropped = 0u64;
+    mut reject: impl FnMut(MrtError),
+) {
     match rec.record {
         MrtRecord::PeerIndexTable(t) => *peers = t.peers,
         MrtRecord::Rib(rib) => {
             for entry in rib.entries {
-                let peer = match peers.get(entry.peer_index as usize) {
-                    Some(peer) => peer,
-                    None if policy == EntryPolicy::Skip => {
-                        dropped += 1;
-                        continue;
-                    }
-                    None => {
-                        return Err(MrtError::malformed(
-                            "RIB entry",
-                            format!("peer index {} out of range", entry.peer_index),
-                        ))
-                    }
+                let Some(peer) = peers.get(entry.peer_index as usize) else {
+                    reject(MrtError::unknown_peer(entry.peer_index));
+                    continue;
                 };
                 sink.push_observation(Observation {
                     vp: peer.asn,
@@ -224,27 +210,16 @@ fn accumulate<S: ObservationSink>(
         }
         MrtRecord::StateChange(_) => {}
     }
-    Ok(dropped)
 }
 
 /// Read observations back from an MRT stream containing RIB dumps and/or
-/// update streams. Unsupported or malformed records are skipped (the
-/// reader can continue past a well-framed body it cannot decode), matching
-/// how measurement pipelines treat archives; I/O and truncation errors
-/// still abort.
+/// update streams, through the owned decoder. Unsupported or malformed
+/// records are skipped (the reader can continue past a well-framed body it
+/// cannot decode), matching how measurement pipelines treat archives; I/O
+/// and truncation errors, and a RIB entry whose peer index is out of
+/// range, still abort.
 pub fn read_observations<R: Read>(input: R) -> Result<Vec<Observation>, MrtError> {
     let mut observations = Vec::new();
-    read_observations_into(input, &mut observations)?;
-    Ok(observations)
-}
-
-/// [`read_observations`] folding into any [`ObservationSink`] instead of
-/// returning a fresh `Vec` — pass an [`ObservationStore`] to intern
-/// straight off the wire.
-pub fn read_observations_into<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-) -> Result<(), MrtError> {
     let mut peers: Vec<PeerEntry> = Vec::new();
     for item in MrtReader::new(input) {
         let rec = match item {
@@ -252,48 +227,15 @@ pub fn read_observations_into<R: Read, S: ObservationSink>(
             Err(e @ (MrtError::Io(_) | MrtError::Truncated { .. })) => return Err(e),
             Err(_) => continue, // skip undecodable record bodies
         };
-        accumulate(rec, &mut peers, sink, EntryPolicy::Abort)?;
+        let mut bad_entry = None;
+        accumulate(rec, &mut peers, &mut observations, |e| {
+            bad_entry.get_or_insert(e);
+        });
+        if let Some(e) = bad_entry {
+            return Err(e);
+        }
     }
-    Ok(())
-}
-
-/// Strict ingestion: the first decode error of *any* kind — undecodable
-/// body, unknown type, truncation, framing damage — aborts the read.
-///
-/// This is the fail-fast mode for pipelines that would rather stop than
-/// silently analyze a partial archive; [`read_observations`] tolerates
-/// record-local damage, [`read_observations_resilient`] tolerates framing
-/// damage too.
-pub fn read_observations_strict<R: Read>(input: R) -> Result<Vec<Observation>, MrtError> {
-    let mut observations = Vec::new();
-    read_observations_strict_hooked(input, &mut observations, None)?;
     Ok(observations)
-}
-
-/// [`read_observations_strict`] folding into any [`ObservationSink`].
-pub fn read_observations_strict_into<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-) -> Result<(), MrtError> {
-    read_observations_strict_hooked(input, sink, None)
-}
-
-/// [`read_observations_strict`] with the [`IngestTuning::panic_after_records`]
-/// fault hook applied.
-fn read_observations_strict_hooked<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-    panic_after: Option<u64>,
-) -> Result<(), MrtError> {
-    let mut peers: Vec<PeerEntry> = Vec::new();
-    let mut decoded = 0u64;
-    for item in MrtReader::new(input) {
-        let rec = item?;
-        decoded += 1;
-        injected_panic_check(decoded, panic_after);
-        accumulate(rec, &mut peers, sink, EntryPolicy::Abort)?;
-    }
-    Ok(())
 }
 
 /// Fire the deliberate [`IngestTuning::panic_after_records`] fault: panic
@@ -306,28 +248,20 @@ fn injected_panic_check(decoded: u64, panic_after: Option<u64>) {
     }
 }
 
-/// Resilient ingestion over [`RecoveringReader`]: survive framing damage,
-/// truncation, and semantically invalid entries, returning whatever could
-/// be decoded plus an exact [`IngestReport`] of everything that could not.
+/// Resilient ingestion over [`RecoveringReader`] into any
+/// [`ObservationSink`]: survive framing damage, truncation, and
+/// semantically invalid entries, returning an exact [`IngestReport`] of
+/// everything that could not be decoded (the salvaged observations are in
+/// the sink).
 ///
 /// Never fails: I/O errors and an exhausted error budget stop the read
 /// early but are reported through [`IngestReport::aborted`] rather than an
-/// `Err`, so the caller always gets the salvaged observations. RIB entries
-/// whose peer index falls outside the peer table are dropped individually
-/// and counted under `errors.malformed` (their bytes stay in `bytes_ok`,
-/// since the record frame itself decoded).
-pub fn read_observations_resilient<R: Read>(
-    input: R,
-    cfg: &RecoverConfig,
-) -> (Vec<Observation>, IngestReport) {
-    let mut observations = Vec::new();
-    let report = read_observations_resilient_hooked(input, cfg, &mut observations, None);
-    (observations, report)
-}
-
-/// [`read_observations_resilient`] folding into any [`ObservationSink`];
-/// returns the [`IngestReport`] (the salvaged observations are in the
-/// sink).
+/// `Err`. RIB entries whose peer index falls outside the peer table are
+/// dropped individually and charged to the error budget under
+/// `errors.malformed` (their bytes stay in `bytes_ok`, since the record
+/// frame itself decoded). A budget of zero (`max_errors: Some(0)`) is
+/// strict ingestion: the first error of any kind aborts, and the abort
+/// reason names it.
 pub fn read_observations_resilient_into<R: Read, S: ObservationSink>(
     input: R,
     cfg: &RecoverConfig,
@@ -336,7 +270,7 @@ pub fn read_observations_resilient_into<R: Read, S: ObservationSink>(
     read_observations_resilient_hooked(input, cfg, sink, None)
 }
 
-/// [`read_observations_resilient`] with the
+/// [`read_observations_resilient_into`] with the
 /// [`IngestTuning::panic_after_records`] fault hook applied.
 ///
 /// This is the zero-copy hot path: record bodies are parsed in place into a
@@ -353,7 +287,6 @@ fn read_observations_resilient_hooked<R: Read, S: ObservationSink>(
     let mut reader = RecoveringReader::with_config(input, cfg.clone());
     let mut peers: Vec<PeerEntry> = Vec::new();
     let mut scratch = RecordScratch::new();
-    let mut dropped_entries = 0u64;
     let mut decoded = 0u64;
     // Err items need no handling here: they are already counted inside the
     // reader's report.
@@ -365,25 +298,23 @@ fn read_observations_resilient_hooked<R: Read, S: ObservationSink>(
         }
         decoded += 1;
         injected_panic_check(decoded, panic_after);
-        dropped_entries += scratch
-            .emit(&mut peers, sink, EntryPolicy::Skip)
-            .expect("Skip policy never errors");
+        scratch.emit(&mut peers, sink, |e| reader.charge(&e));
     }
     let mut report = reader.into_report();
-    report.errors.malformed += dropped_entries;
     report.arena_bytes = scratch.arena_bytes();
     report
 }
 
 /// The owned-decode reference implementation of
-/// [`read_observations_resilient`]: identical semantics, but every record is
-/// materialized through [`crate::records::decode_body`] and folded from the
-/// owned tree.
+/// [`read_observations_resilient_into`]: identical semantics, but every
+/// record is materialized through [`crate::records::decode_body`] and
+/// folded from the owned tree.
 ///
 /// This exists as the oracle for the differential tests that pin the
 /// zero-copy view decoder bit-identical to the owned path (same
 /// observations, same [`IngestReport`] up to the view-only `arena_bytes`
-/// field); production callers should use [`read_observations_resilient`].
+/// field); production callers should use
+/// [`read_observations_resilient_into`].
 pub fn read_observations_resilient_reference<R: Read, S: ObservationSink>(
     input: R,
     cfg: &RecoverConfig,
@@ -391,14 +322,12 @@ pub fn read_observations_resilient_reference<R: Read, S: ObservationSink>(
 ) -> IngestReport {
     let mut reader = RecoveringReader::with_config(input, cfg.clone());
     let mut peers: Vec<PeerEntry> = Vec::new();
-    let mut dropped_entries = 0u64;
-    for rec in reader.by_ref().flatten() {
-        dropped_entries +=
-            accumulate(rec, &mut peers, sink, EntryPolicy::Skip).expect("Skip policy never errors");
+    while let Some(item) = reader.next() {
+        if let Ok(rec) = item {
+            accumulate(rec, &mut peers, sink, |e| reader.charge(&e));
+        }
     }
-    let mut report = reader.into_report();
-    report.errors.malformed += dropped_entries;
-    report
+    reader.into_report()
 }
 
 /// What [`StreamDecoder::next_record`] consumed from the stream.
@@ -420,14 +349,13 @@ pub enum StreamStep {
 /// which has been folded — that position is what a crash-safe checkpoint
 /// stores as its resume cursor. `StreamDecoder` wraps the same
 /// [`RecoveringReader`] quarantine-and-resync loop and the same zero-copy
-/// [`RecordScratch`] fold as [`read_observations_resilient`], exposed one
-/// record at a time.
+/// [`RecordScratch`] fold as [`read_observations_resilient_into`], exposed
+/// one record at a time.
 #[derive(Debug)]
 pub struct StreamDecoder<R: Read> {
     reader: RecoveringReader<R>,
     peers: Vec<PeerEntry>,
     scratch: RecordScratch,
-    dropped_entries: u64,
     records_decoded: u64,
 }
 
@@ -438,7 +366,6 @@ impl<R: Read> StreamDecoder<R> {
             reader: RecoveringReader::with_config(input, cfg),
             peers: Vec::new(),
             scratch: RecordScratch::new(),
-            dropped_entries: 0,
             records_decoded: 0,
         }
     }
@@ -455,10 +382,9 @@ impl<R: Read> StreamDecoder<R> {
             return Some(StreamStep::Skipped);
         }
         self.records_decoded += 1;
-        self.dropped_entries += self
-            .scratch
-            .emit(&mut self.peers, sink, EntryPolicy::Skip)
-            .expect("Skip policy never errors");
+        let reader = &mut self.reader;
+        self.scratch
+            .emit(&mut self.peers, sink, |e| reader.charge(&e));
         Some(StreamStep::Record)
     }
 
@@ -475,11 +401,9 @@ impl<R: Read> StreamDecoder<R> {
         self.reader.report().bytes_read - self.reader.buffered() as u64
     }
 
-    /// The accounting so far, with entry-level drops folded in the same way
-    /// the batch paths do.
+    /// The accounting so far, in the same form the batch paths report.
     pub fn report(&self) -> IngestReport {
         let mut report = self.reader.report().clone();
-        report.errors.malformed += self.dropped_entries;
         report.arena_bytes = self.scratch.arena_bytes();
         report
     }
@@ -487,26 +411,12 @@ impl<R: Read> StreamDecoder<R> {
     /// Consume the decoder, returning the final report.
     pub fn into_report(self) -> IngestReport {
         let mut report = self.reader.into_report();
-        report.errors.malformed += self.dropped_entries;
         report.arena_bytes = self.scratch.arena_bytes();
         report
     }
 }
 
-/// Per-file outcome of [`read_observations_parallel`].
-#[derive(Debug, Clone)]
-pub struct FileIngest {
-    /// The input file.
-    pub path: PathBuf,
-    /// Observations salvaged from this file.
-    pub observations: Vec<Observation>,
-    /// This file's ingest accounting. A file that could not even be opened
-    /// shows up as an aborted, zero-byte report (the ledger still
-    /// balances: `0 + 0 == 0`), never as a panic or a lost slot.
-    pub report: IngestReport,
-}
-
-/// Supervision knobs for the parallel ingestion paths, beyond the decode
+/// Supervision knobs for the parallel ingestion path, beyond the decode
 /// policy in [`RecoverConfig`]: how hard to retry transient I/O, and an
 /// optional delivery-fault injector for tests.
 #[derive(Debug, Clone, Default)]
@@ -552,168 +462,113 @@ fn open_supervised(
     Ok(Readahead::new(retrying, blocks.clone()))
 }
 
-/// The [`IngestReport`] for a file that produced nothing, with the failure
-/// accounted: `why` lands in `aborted`, and the dedicated counters record
-/// whether it was an open failure or a captured worker panic.
-fn failed_report(why: String, open_error: Option<String>, panic: bool) -> IngestReport {
-    let mut report = IngestReport::default();
-    if open_error.is_some() {
-        report.errors.io = 1;
-    }
-    report.open_failed = open_error;
-    report.panicked = u64::from(panic);
-    report.aborted = Some(why);
-    report
-}
-
-/// Resilient ingestion over many MRT files at once: each file is decoded
-/// sequentially (MRT framing is a byte stream; records cannot be split
-/// mid-file) but files fan out across `threads` workers (`0` = one per
-/// CPU).
-///
-/// Returns one [`FileIngest`] per input path *in input order* regardless of
-/// scheduling, plus the merged [`IngestReport`] (merged in input order, so
-/// its `aborted` reason comes from the earliest aborted file). Each file is
-/// read with [`read_observations_resilient`] semantics under supervision:
-/// transient open/read failures are retried with deterministic backoff
-/// (counted in `retries`), a file that cannot be opened after retries is
-/// reported as `open_failed`, and a worker panic is captured and reported
-/// as a failed file (`panicked`) instead of aborting the process. This
-/// never fails; concatenating the per-file observations in order yields
-/// exactly what a sequential loop over the files would produce.
-pub fn read_observations_parallel_with(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-) -> (Vec<FileIngest>, IngestReport) {
-    let (files, merged) = read_files_parallel_into::<Vec<Observation>>(
-        paths,
-        cfg,
-        tuning,
-        threads,
-        &Telemetry::disabled(),
-    );
-    let files = files
-        .into_iter()
-        .map(|(path, observations, report)| FileIngest {
-            path,
-            observations,
-            report,
-        })
-        .collect();
-    (files, merged)
-}
-
-/// The supervised fan-out shared by the `Vec<Observation>` and
-/// [`ObservationStore`] parallel readers: one sink of type `S` per file,
-/// filled with [`read_observations_resilient`] semantics, slots returned
-/// in input order with open failures and captured worker panics reported
-/// as failed (empty-sink) files.
-fn read_files_parallel_into<S: ObservationSink + Default + Send>(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-    tel: &Telemetry,
-) -> (Vec<(PathBuf, S, IngestReport)>, IngestReport) {
-    let threads = effective_threads(threads);
-    let slots = try_par_map_indexed(paths.len(), threads, |i| {
-        let path = paths[i].clone();
-        let retries = Arc::new(AtomicU64::new(0));
-        let blocks = Arc::new(AtomicU64::new(0));
-        match open_supervised(&path, i, tuning, &retries, &blocks) {
-            Ok(reader) => {
-                let mut span = span!(tel.tracer, "ingest/file", file = path.display());
-                let mut sink = S::default();
-                let mut report = read_observations_resilient_hooked(
-                    reader,
-                    cfg,
-                    &mut sink,
-                    tuning.panic_after_records,
-                );
-                report.retries += retries.load(Ordering::Relaxed);
-                report.readahead_blocks += blocks.load(Ordering::Relaxed);
-                if span.enabled() {
-                    span.set("observations", &sink.observation_count());
-                    span.set("bytes_read", &report.bytes_read);
-                    span.set("bytes_ok", &report.bytes_ok);
-                    span.set("records", &report.records_read);
-                    span.set("retries", &report.retries);
-                    span.set("faults", &report.errors.decode_errors());
-                    span.set("resyncs", &report.resync_events);
-                    span.set("readahead_blocks", &report.readahead_blocks);
-                    span.set("arena_bytes", &report.arena_bytes);
-                }
-                (path, sink, report)
-            }
-            Err(e) => (
-                path,
-                S::default(),
-                failed_report(
-                    format!("open: {e}"),
-                    Some(format!(
-                        "{e} (after {} retry(s))",
-                        retries.load(Ordering::Relaxed)
-                    )),
-                    false,
-                ),
-            ),
-        }
-    });
-    let files: Vec<(PathBuf, S, IngestReport)> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Ok(file) => file,
-            Err(p) => (
-                paths[i].clone(),
-                S::default(),
-                failed_report(format!("worker panicked: {}", p.message), None, true),
-            ),
-        })
-        .collect();
-    let mut merged = IngestReport::default();
-    for (_, _, report) in &files {
-        merged.merge(report);
-    }
-    (files, merged)
-}
-
-/// Per-file outcome of [`read_observations_parallel_store`]: like
-/// [`FileIngest`], but the observations were interned straight into a
-/// columnar [`ObservationStore`] as they decoded.
+/// Per-file outcome of [`read_observations_parallel_store_telemetry`]: the
+/// observations were interned straight into a columnar
+/// [`ObservationStore`] as they decoded.
 #[derive(Debug, Clone)]
 pub struct FileStoreIngest {
     /// The input file.
     pub path: PathBuf,
     /// Observations salvaged from this file, in columnar form.
     pub store: ObservationStore,
-    /// This file's ingest accounting (same semantics as
-    /// [`FileIngest::report`]).
+    /// This file's ingest accounting. A file that could not even be opened
+    /// shows up as an aborted, zero-byte report (the ledger still
+    /// balances: `0 + 0 == 0`), never as a panic or a lost slot.
     pub report: IngestReport,
 }
 
-/// [`read_observations_parallel_with`] folding each file straight into a
-/// per-file [`ObservationStore`] — no `Vec<Observation>` is ever
-/// materialized. Merging the per-file stores in input order (see
-/// [`ObservationStore::merge`]) yields exactly the store a sequential
-/// single-sink read of the concatenated files would have produced.
-pub fn read_observations_parallel_store_with(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-) -> (Vec<FileStoreIngest>, IngestReport) {
-    read_observations_parallel_store_telemetry(paths, cfg, tuning, threads, &Telemetry::disabled())
+impl FileStoreIngest {
+    /// A file that produced nothing, with the failure accounted: `why`
+    /// lands in `aborted`, and the dedicated counters record whether it
+    /// was an open failure or a captured worker panic.
+    fn failed(path: &Path, why: String, open_error: Option<String>, panic: bool) -> Self {
+        let mut report = IngestReport::default();
+        if open_error.is_some() {
+            report.errors.io = 1;
+        }
+        report.open_failed = open_error;
+        report.panicked = u64::from(panic);
+        report.aborted = Some(why);
+        FileStoreIngest {
+            path: path.to_path_buf(),
+            store: ObservationStore::new(),
+            report,
+        }
+    }
 }
 
-/// [`read_observations_parallel_store_with`] under observation: each file's
-/// decode runs inside an `ingest/file` span (with bytes/records/retries/
-/// fault counts attached from its [`IngestReport`]), the whole fan-out is
-/// wrapped in the `ingest` stage timing, and the merged report lands in the
-/// metrics registry under `ingest/*` (see [`IngestReport::record_metrics`]).
-/// With [`Telemetry::disabled`] this is exactly the plain reader.
+/// Decode one file under supervision into its own [`ObservationStore`],
+/// inside an `ingest/file` span.
+fn ingest_file(
+    path: &Path,
+    index: usize,
+    cfg: &RecoverConfig,
+    tuning: &IngestTuning,
+    tel: &Telemetry,
+) -> FileStoreIngest {
+    let retries = Arc::new(AtomicU64::new(0));
+    let blocks = Arc::new(AtomicU64::new(0));
+    let reader = match open_supervised(path, index, tuning, &retries, &blocks) {
+        Ok(reader) => reader,
+        Err(e) => {
+            let retried = retries.load(Ordering::Relaxed);
+            return FileStoreIngest::failed(
+                path,
+                format!("open: {e}"),
+                Some(format!("{e} (after {retried} retry(s))")),
+                false,
+            );
+        }
+    };
+    let mut span = span!(tel.tracer, "ingest/file", file = path.display());
+    let mut store = ObservationStore::new();
+    let mut report =
+        read_observations_resilient_hooked(reader, cfg, &mut store, tuning.panic_after_records);
+    report.retries += retries.load(Ordering::Relaxed);
+    report.readahead_blocks += blocks.load(Ordering::Relaxed);
+    if span.enabled() {
+        span.set("observations", &store.observation_count());
+        span.set("bytes_read", &report.bytes_read);
+        span.set("bytes_ok", &report.bytes_ok);
+        span.set("records", &report.records_read);
+        span.set("retries", &report.retries);
+        span.set("faults", &report.errors.decode_errors());
+        span.set("resyncs", &report.resync_events);
+        span.set("readahead_blocks", &report.readahead_blocks);
+        span.set("arena_bytes", &report.arena_bytes);
+    }
+    FileStoreIngest {
+        path: path.to_path_buf(),
+        store,
+        report,
+    }
+}
+
+/// The one multi-file ingestion entry point: resilient ingestion over many
+/// MRT files at once, each folded straight into its own
+/// [`ObservationStore`]. Each file is decoded sequentially (MRT framing is
+/// a byte stream; records cannot be split mid-file) but files fan out
+/// across `threads` workers (`0` = one per CPU).
+///
+/// Returns one [`FileStoreIngest`] per input path *in input order*
+/// regardless of scheduling, plus the merged [`IngestReport`] (merged in
+/// input order, so its `aborted` reason comes from the earliest aborted
+/// file). Each file is read with [`read_observations_resilient_into`]
+/// semantics under `cfg` — `max_errors: Some(0)` makes it strict — and
+/// under supervision: transient open/read failures are retried with
+/// deterministic backoff (counted in `retries`), a file that cannot be
+/// opened after retries is reported as `open_failed`, and a worker panic
+/// is captured and reported as a failed file (`panicked`) instead of
+/// aborting the process. This never fails; merging the per-file stores in
+/// input order (see [`ObservationStore::merge`]) yields exactly the store
+/// a sequential single-sink read of the concatenated files would produce.
+///
+/// Under observation each file's decode runs inside an `ingest/file` span
+/// (with bytes/records/retries/fault counts attached from its report), the
+/// whole fan-out is wrapped in the `ingest` stage timing, and the merged
+/// report lands in the metrics registry under `ingest/*` (see
+/// [`IngestReport::record_metrics`]). With [`Telemetry::disabled`] it
+/// records nothing.
 pub fn read_observations_parallel_store_telemetry(
     paths: &[PathBuf],
     cfg: &RecoverConfig,
@@ -722,100 +577,72 @@ pub fn read_observations_parallel_store_telemetry(
     tel: &Telemetry,
 ) -> (Vec<FileStoreIngest>, IngestReport) {
     let (files, merged) = tel.stage("ingest", || {
-        read_files_parallel_into::<ObservationStore>(paths, cfg, tuning, threads, tel)
+        let slots = try_par_map_indexed(paths.len(), effective_threads(threads), |i| {
+            ingest_file(&paths[i], i, cfg, tuning, tel)
+        });
+        let files: Vec<FileStoreIngest> = slots
+            .into_iter()
+            .zip(paths)
+            .map(|(slot, path)| {
+                slot.unwrap_or_else(|p| {
+                    let why = format!("worker panicked: {}", p.message);
+                    FileStoreIngest::failed(path, why, None, true)
+                })
+            })
+            .collect();
+        let mut merged = IngestReport::default();
+        for file in &files {
+            merged.merge(&file.report);
+        }
+        (files, merged)
     });
     if let Some(metrics) = tel.registry() {
         merged.record_metrics(metrics);
         metrics.counter("ingest/files").add(paths.len() as u64);
     }
-    let files = files
-        .into_iter()
-        .map(|(path, store, report)| FileStoreIngest {
-            path,
-            store,
-            report,
-        })
-        .collect();
     (files, merged)
-}
-
-/// [`read_observations_parallel_store_with`] under the default supervision
-/// tuning.
-pub fn read_observations_parallel_store(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    threads: usize,
-) -> (Vec<FileStoreIngest>, IngestReport) {
-    read_observations_parallel_store_with(paths, cfg, &IngestTuning::default(), threads)
-}
-
-/// [`read_observations_parallel_with`] under the default supervision
-/// tuning (default retry policy, no injected delivery faults).
-pub fn read_observations_parallel(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    threads: usize,
-) -> (Vec<FileIngest>, IngestReport) {
-    read_observations_parallel_with(paths, cfg, &IngestTuning::default(), threads)
-}
-
-/// Strict ingestion over many MRT files at once, fanning files out across
-/// `threads` workers (`0` = one per CPU).
-///
-/// Returns the per-file observations in input order, or — matching the
-/// fail-fast contract of [`read_observations_strict`] — the error of the
-/// *earliest* failing file by input order (deterministic even when a later
-/// file fails first on the wall clock). File-open failures surface as
-/// [`MrtError::Io`]; transient open/read failures are retried under the
-/// default [`RetryPolicy`] first. A worker panic is captured and surfaced
-/// as that file's [`MrtError::Malformed`] — fail-fast still means a clean
-/// error for the caller, never a process abort.
-pub fn read_observations_parallel_strict(
-    paths: &[PathBuf],
-    threads: usize,
-) -> Result<Vec<Vec<Observation>>, (PathBuf, MrtError)> {
-    read_observations_parallel_strict_with(paths, &IngestTuning::default(), threads)
-}
-
-/// [`read_observations_parallel_strict`] with explicit supervision
-/// [`IngestTuning`] (retry policy, injected delivery faults, panic hook).
-pub fn read_observations_parallel_strict_with(
-    paths: &[PathBuf],
-    tuning: &IngestTuning,
-    threads: usize,
-) -> Result<Vec<Vec<Observation>>, (PathBuf, MrtError)> {
-    let threads = effective_threads(threads);
-    let slots = try_par_map_indexed(paths.len(), threads, |i| {
-        let retries = Arc::new(AtomicU64::new(0));
-        let blocks = Arc::new(AtomicU64::new(0));
-        open_supervised(&paths[i], i, tuning, &retries, &blocks)
-            .map_err(MrtError::from)
-            .and_then(|r| {
-                let mut observations = Vec::new();
-                read_observations_strict_hooked(r, &mut observations, tuning.panic_after_records)?;
-                Ok(observations)
-            })
-    });
-    let mut out = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Ok(Ok(observations)) => out.push(observations),
-            Ok(Err(e)) => return Err((paths[i].clone(), e)),
-            Err(p) => {
-                return Err((
-                    paths[i].clone(),
-                    MrtError::malformed("ingest worker", format!("panicked: {}", p.message)),
-                ))
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgp_types::Community;
+
+    /// The strict decode policy: an error budget of zero.
+    fn strict() -> RecoverConfig {
+        RecoverConfig {
+            max_errors: Some(0),
+            ..RecoverConfig::default()
+        }
+    }
+
+    /// [`read_observations_resilient_into`] collecting into a `Vec`.
+    fn resilient(input: impl Read, cfg: &RecoverConfig) -> (Vec<Observation>, IngestReport) {
+        let mut observations = Vec::new();
+        let report = read_observations_resilient_into(input, cfg, &mut observations);
+        (observations, report)
+    }
+
+    /// A store's rows, in order.
+    fn rows(store: &ObservationStore) -> Vec<Observation> {
+        (0..store.len()).map(|i| store.get(i)).collect()
+    }
+
+    /// [`read_observations_parallel_store_telemetry`] without telemetry.
+    fn parallel(
+        paths: &[PathBuf],
+        cfg: &RecoverConfig,
+        tuning: &IngestTuning,
+        threads: usize,
+    ) -> (Vec<FileStoreIngest>, IngestReport) {
+        read_observations_parallel_store_telemetry(
+            paths,
+            cfg,
+            tuning,
+            threads,
+            &Telemetry::disabled(),
+        )
+    }
 
     fn obs(vp: u32, prefix: &str, path: &str, comms: &[(u16, u16)], time: u32) -> Observation {
         Observation {
@@ -971,7 +798,9 @@ mod tests {
         // Make record 2's MRT type unknown: strict must abort, the default
         // reader (which skips well-framed undecodable bodies) must not.
         buf[2 * rec_len + 5] = 0xEE;
-        assert!(read_observations_strict(&buf[..]).is_err());
+        let (_, report) = resilient(&buf[..], &strict());
+        let why = report.aborted.expect("strict aborts");
+        assert!(why.contains("unsupported MRT type"), "{why}");
         assert_eq!(read_observations(&buf[..]).unwrap().len(), 3);
     }
 
@@ -980,10 +809,9 @@ mod tests {
         let observations = sample();
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
-        assert_eq!(
-            read_observations_strict(&buf[..]).unwrap(),
-            read_observations(&buf[..]).unwrap()
-        );
+        let (back, report) = resilient(&buf[..], &strict());
+        assert!(report.is_clean());
+        assert_eq!(back, read_observations(&buf[..]).unwrap());
     }
 
     #[test]
@@ -998,7 +826,7 @@ mod tests {
             .copied()
             .collect::<Vec<u8>>();
         assert!(read_observations(&damaged[..]).is_err());
-        let (back, report) = read_observations_resilient(&damaged[..], &RecoverConfig::default());
+        let (back, report) = resilient(&damaged[..], &RecoverConfig::default());
         assert_eq!(back.len(), 3, "records after the damage recovered");
         assert_eq!(report.records_read, 3);
         assert!(report.resync_events >= 1);
@@ -1006,12 +834,9 @@ mod tests {
         assert!(report.aborted.is_none());
     }
 
-    #[test]
-    fn resilient_drops_rib_entries_with_bad_peer_index() {
-        // RIB records with no preceding peer index table: every entry
-        // references a missing peer. Entries are dropped one by one and
-        // counted; the record frames themselves still decode.
-        let observations = sample();
+    /// RIB records with no preceding peer index table: every entry
+    /// references a missing peer.
+    fn ribs_without_peer_table() -> Vec<u8> {
         let mut route = RouteAttrs::originated(
             "64500 1299 64496".parse().unwrap(),
             IpAddr::from([192, 0, 2, 9]),
@@ -1019,7 +844,7 @@ mod tests {
         route.communities.push(Community::new(1299, 1));
         let mut buf = Vec::new();
         let mut w = MrtWriter::new(&mut buf);
-        for (i, o) in observations.iter().enumerate() {
+        for (i, o) in sample().iter().enumerate() {
             let rib = RibSnapshot {
                 sequence: i as u32,
                 prefix: o.prefix,
@@ -1033,10 +858,37 @@ mod tests {
         }
         w.flush().unwrap();
         let _ = w;
-        let (back, report) = read_observations_resilient(&buf[..], &RecoverConfig::default());
+        buf
+    }
+
+    #[test]
+    fn resilient_drops_rib_entries_with_bad_peer_index() {
+        // Entries are dropped one by one and counted; the record frames
+        // themselves still decode.
+        let buf = ribs_without_peer_table();
+        let (back, report) = resilient(&buf[..], &RecoverConfig::default());
         assert_eq!(back, vec![]);
         assert_eq!(report.errors.malformed, 4, "one per dropped RIB entry");
         assert_eq!(report.records_read, 4, "record frames still decoded");
+    }
+
+    #[test]
+    fn dropped_rib_entries_are_charged_to_the_error_budget() {
+        // Strict (a budget of zero) aborts after the first drop and names
+        // it; the owned oracle charges drops the same way.
+        let buf = ribs_without_peer_table();
+        let (back, report) = resilient(&buf[..], &strict());
+        assert_eq!(back, vec![]);
+        assert_eq!(report.errors.malformed, 1);
+        assert_eq!(report.errors.budget_exceeded, 1);
+        assert_eq!(
+            report.aborted.as_deref(),
+            Some("error budget of 0 exceeded: malformed RIB entry: peer index 7 out of range")
+        );
+        let mut owned = Vec::new();
+        let mut oracle = read_observations_resilient_reference(&buf[..], &strict(), &mut owned);
+        oracle.arena_bytes = report.arena_bytes;
+        assert_eq!(oracle, report);
     }
 
     /// Write three distinct single-record archives to a fresh temp dir.
@@ -1070,52 +922,25 @@ mod tests {
             .iter()
             .map(|p| {
                 let file = std::fs::File::open(p).unwrap();
-                read_observations_resilient(std::io::BufReader::new(file), &cfg).0
+                resilient(std::io::BufReader::new(file), &cfg).0
             })
             .collect();
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel(&paths, &cfg, threads);
+            let (files, merged) = parallel(&paths, &cfg, &IngestTuning::default(), threads);
             assert_eq!(files.len(), 3);
-            for (file, expected) in files.iter().zip(&sequential) {
-                assert_eq!(&file.observations, expected, "threads = {threads}");
+            let mut folded = ObservationStore::new();
+            for ((file, expected), path) in files.iter().zip(&sequential).zip(&paths) {
+                assert_eq!(&file.path, path);
+                assert_eq!(&rows(&file.store), expected, "threads = {threads}");
                 assert!(file.report.is_clean());
+                folded.merge(&file.store);
             }
             assert!(merged.is_clean());
             assert_eq!(merged.records_read, 3);
             assert_eq!(merged.bytes_ok + merged.bytes_skipped, merged.bytes_read);
-        }
-    }
-
-    #[test]
-    fn store_parallel_read_matches_vec_parallel_read() {
-        let paths = archive_trio("store");
-        let cfg = RecoverConfig::default();
-        let (vec_files, vec_merged) = read_observations_parallel(&paths, &cfg, 2);
-        for threads in [1, 2, 8] {
-            let (store_files, store_merged) =
-                read_observations_parallel_store(&paths, &cfg, threads);
-            assert_eq!(store_files.len(), vec_files.len());
-            let mut folded = ObservationStore::new();
-            for (sf, vf) in store_files.iter().zip(&vec_files) {
-                assert_eq!(sf.path, vf.path);
-                assert_eq!(sf.report, vf.report, "threads = {threads}");
-                assert_eq!(sf.store.len(), vf.observations.len());
-                for (i, o) in vf.observations.iter().enumerate() {
-                    assert_eq!(sf.store.get(i), *o, "threads = {threads}");
-                }
-                folded.merge(&sf.store);
-            }
-            assert_eq!(store_merged, vec_merged);
             // Folding per-file stores in input order reproduces the
             // sequential single-sink read of the concatenated files.
-            let all: Vec<Observation> = vec_files
-                .iter()
-                .flat_map(|f| f.observations.iter().cloned())
-                .collect();
-            assert_eq!(folded.len(), all.len());
-            for (i, o) in all.iter().enumerate() {
-                assert_eq!(folded.get(i), *o);
-            }
+            assert_eq!(rows(&folded), sequential.concat(), "threads = {threads}");
         }
     }
 
@@ -1125,11 +950,6 @@ mod tests {
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
         let via_vec = read_observations(&buf[..]).unwrap();
-        let mut store = ObservationStore::new();
-        read_observations_into(&buf[..], &mut store).unwrap();
-        assert_eq!(store.len(), via_vec.len());
-        let mut strict_store = ObservationStore::new();
-        read_observations_strict_into(&buf[..], &mut strict_store).unwrap();
         let mut resilient_store = ObservationStore::new();
         let report = read_observations_resilient_into(
             &buf[..],
@@ -1137,20 +957,21 @@ mod tests {
             &mut resilient_store,
         );
         assert!(report.is_clean());
-        for (i, o) in via_vec.iter().enumerate() {
-            assert_eq!(store.get(i), *o);
-            assert_eq!(strict_store.get(i), *o);
-            assert_eq!(resilient_store.get(i), *o);
-        }
+        assert_eq!(rows(&resilient_store), via_vec);
     }
 
     #[test]
     fn parallel_read_reports_unopenable_file_as_aborted() {
         let mut paths = archive_trio("missing");
         paths.insert(1, paths[0].with_file_name("does-not-exist.mrt"));
-        let (files, merged) = read_observations_parallel(&paths, &RecoverConfig::default(), 2);
+        let (files, merged) = parallel(
+            &paths,
+            &RecoverConfig::default(),
+            &IngestTuning::default(),
+            2,
+        );
         assert_eq!(files.len(), 4);
-        assert!(files[1].observations.is_empty());
+        assert!(files[1].store.is_empty());
         assert!(files[1].report.aborted.is_some());
         assert_eq!(files[1].report.errors.io, 1);
         // Open failure is distinguished from "file decoded empty": only the
@@ -1158,7 +979,7 @@ mod tests {
         assert!(files[1].report.open_failed.is_some());
         assert!(files[0].report.open_failed.is_none());
         // Other files are unaffected; the ledger still balances.
-        assert_eq!(files[0].observations.len(), 1);
+        assert_eq!(files[0].store.len(), 1);
         assert_eq!(merged.records_read, 3);
         assert_eq!(merged.bytes_ok + merged.bytes_skipped, merged.bytes_read);
         assert!(merged.aborted.is_some());
@@ -1189,21 +1010,16 @@ mod tests {
             ..IngestTuning::default()
         };
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel_with(
-                &paths,
-                &RecoverConfig::default(),
-                &tuning,
-                threads,
-            );
+            let (files, merged) = parallel(&paths, &RecoverConfig::default(), &tuning, threads);
             assert_eq!(files.len(), 3, "threads = {threads}");
-            assert!(files[1].observations.is_empty());
+            assert!(files[1].store.is_empty());
             assert_eq!(files[1].report.panicked, 1);
             let why = files[1].report.aborted.as_deref().unwrap();
             assert!(why.contains("panicked"), "aborted reason: {why}");
             assert!(why.contains("injected fault"), "payload preserved: {why}");
             // Neighbors are untouched and the run as a whole completed.
-            assert_eq!(files[0].observations.len(), 1);
-            assert_eq!(files[2].observations.len(), 1);
+            assert_eq!(files[0].store.len(), 1);
+            assert_eq!(files[2].store.len(), 1);
             assert_eq!(merged.panicked, 1);
             assert!(merged.aborted.is_some());
             assert!(merged.open_failed.is_none());
@@ -1218,11 +1034,13 @@ mod tests {
             ..IngestTuning::default()
         };
         for threads in [1, 2, 8] {
-            let err = read_observations_parallel_strict_with(&paths, &tuning, threads).unwrap_err();
+            let (files, merged) = parallel(&paths, &strict(), &tuning, threads);
             // Every file panics at its first record; the earliest by input
             // order wins deterministically.
-            assert_eq!(err.0, paths[0], "threads = {threads}");
-            assert!(err.1.to_string().contains("panicked"), "{}", err.1);
+            assert!(files.iter().all(|f| f.report.panicked == 1));
+            let why = merged.aborted.as_deref().unwrap();
+            assert_eq!(files[0].report.aborted.as_deref(), Some(why));
+            assert!(why.contains("panicked"), "{why}");
         }
     }
 
@@ -1230,7 +1048,7 @@ mod tests {
     fn flaky_delivery_is_absorbed_by_retries_bit_identically() {
         let paths = archive_trio("flaky");
         let cfg = RecoverConfig::default();
-        let (clean_files, clean_merged) = read_observations_parallel(&paths, &cfg, 2);
+        let (clean_files, clean_merged) = parallel(&paths, &cfg, &IngestTuning::default(), 2);
         let tuning = IngestTuning {
             retry: RetryPolicy {
                 max_attempts: 64,
@@ -1250,10 +1068,11 @@ mod tests {
             panic_after_records: None,
         };
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel_with(&paths, &cfg, &tuning, threads);
+            let (files, merged) = parallel(&paths, &cfg, &tuning, threads);
             for (flaky, clean) in files.iter().zip(&clean_files) {
                 assert_eq!(
-                    flaky.observations, clean.observations,
+                    rows(&flaky.store),
+                    rows(&clean.store),
                     "threads = {threads}"
                 );
                 assert!(flaky.report.aborted.is_none());
@@ -1337,16 +1156,19 @@ mod tests {
         bytes[5] = 0xEE;
         std::fs::write(&paths[1], &bytes).unwrap();
         for threads in [1, 2, 8] {
-            let err = read_observations_parallel_strict(&paths, threads).unwrap_err();
-            assert_eq!(err.0, paths[1], "threads = {threads}");
+            let (files, merged) = parallel(&paths, &strict(), &IngestTuning::default(), threads);
+            assert!(files[0].report.aborted.is_none(), "threads = {threads}");
+            let why = files[1].report.aborted.as_deref().unwrap();
+            assert_eq!(merged.aborted.as_deref(), Some(why), "threads = {threads}");
         }
         // Clean trio succeeds and preserves input order.
         let clean = archive_trio("strict-clean");
-        let per_file = read_observations_parallel_strict(&clean, 8).unwrap();
-        assert_eq!(per_file.len(), 3);
-        for (i, observations) in per_file.iter().enumerate() {
-            assert_eq!(observations.len(), 1);
-            assert_eq!(observations[0].vp, Asn::new(64500 + i as u32));
+        let (files, merged) = parallel(&clean, &strict(), &IngestTuning::default(), 8);
+        assert!(merged.is_clean());
+        assert_eq!(files.len(), 3);
+        for (i, file) in files.iter().enumerate() {
+            assert_eq!(file.store.len(), 1);
+            assert_eq!(file.store.vp(0), Asn::new(64500 + i as u32));
         }
     }
 
@@ -1355,7 +1177,7 @@ mod tests {
         let observations = sample();
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
-        let (back, report) = read_observations_resilient(&buf[..], &RecoverConfig::default());
+        let (back, report) = resilient(&buf[..], &RecoverConfig::default());
         assert_eq!(back.len(), observations.len());
         assert!(report.is_clean());
         assert_eq!(report.bytes_ok, buf.len() as u64);

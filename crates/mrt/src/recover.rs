@@ -315,7 +315,9 @@ pub struct RecoveringReader<R> {
     pos: usize,
     eof: bool,
     fused: bool,
-    budget_pending: bool,
+    /// Set once the error budget is exceeded, naming the error that
+    /// exceeded it; the next [`process_next`](Self::process_next) aborts.
+    budget_tripped: Option<String>,
     report: IngestReport,
 }
 
@@ -332,7 +334,7 @@ impl<R: Read> RecoveringReader<R> {
             pos: 0,
             eof: false,
             fused: false,
-            budget_pending: false,
+            budget_tripped: None,
             report: IngestReport::default(),
         }
     }
@@ -396,15 +398,26 @@ impl<R: Read> RecoveringReader<R> {
         Ok(())
     }
 
-    /// Count `e`, arm the budget trip-wire if it pushed us over, and hand
-    /// the error back for yielding.
-    fn emit(&mut self, e: MrtError) -> MrtError {
-        self.report.errors.bump(&e);
+    /// Count `e` and arm the budget trip-wire if it pushed the count over
+    /// [`RecoverConfig::max_errors`]; the next
+    /// [`process_next`](Self::process_next) then aborts, naming the first
+    /// error over the budget.
+    ///
+    /// The reader charges its own framing and body errors. Callers charge
+    /// errors they find inside a record that decoded — a RIB entry whose
+    /// peer index is out of range — so those count toward the budget too.
+    pub(crate) fn charge(&mut self, e: &MrtError) {
+        self.report.errors.bump(e);
         if let Some(limit) = self.cfg.max_errors {
-            if self.report.errors.decode_errors() > limit {
-                self.budget_pending = true;
+            if self.budget_tripped.is_none() && self.report.errors.decode_errors() > limit {
+                self.budget_tripped = Some(e.to_string());
             }
         }
+    }
+
+    /// [`charge`](Self::charge) `e` and hand it back for yielding.
+    fn emit(&mut self, e: MrtError) -> MrtError {
+        self.charge(&e);
         e
     }
 
@@ -504,12 +517,11 @@ impl<R: Read> RecoveringReader<R> {
         if self.fused {
             return None;
         }
-        if self.budget_pending {
-            self.budget_pending = false;
+        if let Some(cause) = self.budget_tripped.take() {
             self.fused = true;
             let limit = self.cfg.max_errors.unwrap_or(0);
             self.drain_rest();
-            self.report.aborted = Some(format!("error budget of {limit} exceeded"));
+            self.report.aborted = Some(format!("error budget of {limit} exceeded: {cause}"));
             let e = MrtError::BudgetExceeded { limit };
             self.report.errors.bump(&e);
             return Some(Err(e));

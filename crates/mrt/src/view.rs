@@ -43,17 +43,6 @@ use crate::records::{
     SUBTYPE_RIB_IPV6_UNICAST, TYPE_BGP4MP, TYPE_TABLE_DUMP, TYPE_TABLE_DUMP_V2,
 };
 
-/// What to do with a semantically invalid entry (e.g. a RIB entry whose
-/// peer index points outside the peer table) inside an otherwise decodable
-/// record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EntryPolicy {
-    /// Abort the whole read (historic strict behavior).
-    Abort,
-    /// Drop the entry, keep the rest of the record and stream.
-    Skip,
-}
-
 /// Where an entry's vantage point comes from at emit time.
 #[derive(Debug, Clone, Copy)]
 enum EntryOrigin {
@@ -205,40 +194,31 @@ impl RecordScratch {
     /// Phase two: resolve vantage points and push one [`ObservationView`]
     /// per (entry, prefix) into the sink, in the owned path's order.
     ///
-    /// Returns the number of entries dropped under [`EntryPolicy::Skip`];
-    /// under [`EntryPolicy::Abort`] the first unresolvable peer index
-    /// aborts (entries before it have already been pushed, exactly like the
-    /// owned fold).
+    /// An entry whose peer index falls outside the peer table is dropped
+    /// and handed to `reject` as its error — the caller charges it against
+    /// the error budget — exactly like the owned fold.
     pub(crate) fn emit<S: ObservationSink>(
         &mut self,
         peers: &mut Vec<PeerEntry>,
         sink: &mut S,
-        policy: EntryPolicy,
-    ) -> Result<u64, MrtError> {
+        mut reject: impl FnMut(MrtError),
+    ) {
         match std::mem::take(&mut self.kind) {
-            ParsedKind::Quiet => Ok(0),
+            ParsedKind::Quiet => {}
             ParsedKind::Owned(rec) => {
                 if let MrtRecord::PeerIndexTable(t) = *rec {
                     *peers = t.peers;
                 }
-                Ok(0)
             }
             ParsedKind::Entries => {
-                let mut dropped = 0u64;
                 for e in &self.entries {
                     let vp = match e.origin {
                         EntryOrigin::Direct(asn) => asn,
                         EntryOrigin::Peer(idx) => match peers.get(idx as usize) {
                             Some(peer) => peer.asn,
-                            None if policy == EntryPolicy::Skip => {
-                                dropped += 1;
-                                continue;
-                            }
                             None => {
-                                return Err(MrtError::malformed(
-                                    "RIB entry",
-                                    format!("peer index {idx} out of range"),
-                                ))
+                                reject(MrtError::unknown_peer(idx));
+                                continue;
                             }
                         },
                     };
@@ -259,7 +239,6 @@ impl RecordScratch {
                         });
                     }
                 }
-                Ok(dropped)
             }
         }
     }

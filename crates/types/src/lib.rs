@@ -17,16 +17,17 @@
 //! A few small shared utilities also live here so every crate agrees on
 //! them: [`fx`] — the FxHash-style hasher used for analysis-side hot maps —
 //! [`par`] — thread-count resolution plus the deterministic fork-join
-//! helper behind every parallel stage — and [`obs`] — the zero-dependency
+//! helper behind every parallel stage — [`obs`] — the zero-dependency
 //! observability layer (metrics registry, structured spans) every pipeline
-//! stage reports into. The analysis pipeline's columnar
-//! [`store::ObservationStore`] (interned paths/community sets, flat ID
-//! columns) lives here too so both `mrt` ingestion and `core` reduction
-//! can speak it without a dependency cycle.
+//! stage reports into — and [`durable`] — the atomic temp-file-then-rename
+//! write and the FNV-1a checksum behind every file the system persists.
+//! The analysis pipeline's columnar [`store::ObservationStore`] (interned
+//! paths/community sets, flat ID columns) lives here too so both `mrt`
+//! ingestion and `core` reduction can speak it without a dependency cycle.
 //!
-//! All types are plain data: no I/O, no global state, and `serde` support so
-//! dictionaries and inferences can be released as data supplements like the
-//! paper's.
+//! All types are plain data: no I/O outside [`durable`], no global state,
+//! and `serde` support so dictionaries and inferences can be released as
+//! data supplements like the paper's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +35,7 @@
 pub mod asn;
 pub mod aspath;
 pub mod community;
+pub mod durable;
 pub mod error;
 pub mod fx;
 pub mod intent;

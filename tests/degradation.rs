@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use bgp_community_intent::dictionary::GroundTruthDictionary;
 use bgp_community_intent::intent::{run_inference_with_report, InferenceConfig};
 use bgp_community_intent::mrt::faults::corrupt_stream;
-use bgp_community_intent::mrt::obs::{read_observations, read_observations_resilient};
+use bgp_community_intent::mrt::obs::{read_observations, read_observations_resilient_into};
 use bgp_community_intent::mrt::{IngestReport, RecoverConfig};
 use bgp_community_intent::relationships::SiblingMap;
 use bgp_community_intent::types::Observation;
@@ -47,7 +47,9 @@ fn ingest_corrupted(seed: u64, rate: f64) -> (Vec<Observation>, IngestReport) {
         if rate > 0.0 {
             assert!(log.count() > 0, "{name}: corruption must land at {rate}");
         }
-        let (obs, report) = read_observations_resilient(&damaged[..], &RecoverConfig::default());
+        let mut obs = Vec::new();
+        let report =
+            read_observations_resilient_into(&damaged[..], &RecoverConfig::default(), &mut obs);
         // Byte accounting must balance exactly: every byte of the damaged
         // stream is either part of a decoded record or counted as skipped.
         assert_eq!(

@@ -11,12 +11,13 @@ use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
 use bgp_community_intent::intent::{run_inference, InferenceConfig, PipelineResult};
 use bgp_community_intent::mrt::faults::corrupt_stream;
 use bgp_community_intent::mrt::obs::{
-    read_observations_parallel, read_observations_parallel_strict, read_observations_resilient,
-    read_observations_strict, write_update_stream,
+    read_observations_parallel_store_telemetry, read_observations_resilient_into,
+    write_update_stream, FileStoreIngest,
 };
 use bgp_community_intent::mrt::readahead::DEFAULT_BLOCK_SIZE;
-use bgp_community_intent::mrt::RecoverConfig;
-use bgp_community_intent::types::{Asn, Observation};
+use bgp_community_intent::mrt::{IngestReport, IngestTuning, RecoverConfig};
+use bgp_community_intent::types::store::ObservationStore;
+use bgp_community_intent::types::{Asn, Observation, Telemetry};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -57,6 +58,34 @@ fn archives(dir: &Path, observations: &[Observation], corrupt_middle: bool) -> V
         .collect()
 }
 
+/// One sequential resilient read of `path` under `cfg`.
+fn read_file(path: &Path, cfg: &RecoverConfig) -> (Vec<Observation>, IngestReport) {
+    let mut observations = Vec::new();
+    let report =
+        read_observations_resilient_into(fs::File::open(path).unwrap(), cfg, &mut observations);
+    (observations, report)
+}
+
+/// The multi-file entry point under the default supervision, untraced.
+fn read_parallel(
+    paths: &[PathBuf],
+    cfg: &RecoverConfig,
+    threads: usize,
+) -> (Vec<FileStoreIngest>, IngestReport) {
+    read_observations_parallel_store_telemetry(
+        paths,
+        cfg,
+        &IngestTuning::default(),
+        threads,
+        &Telemetry::disabled(),
+    )
+}
+
+/// A store's rows, in order.
+fn rows(store: &ObservationStore) -> Vec<Observation> {
+    (0..store.len()).map(|i| store.get(i)).collect()
+}
+
 #[test]
 fn lenient_multi_file_ingest_is_identical_at_any_thread_count() {
     let observations = scenario().collect(1);
@@ -66,16 +95,13 @@ fn lenient_multi_file_ingest_is_identical_at_any_thread_count() {
     let cfg = RecoverConfig::default();
 
     // Sequential reference: one resilient read per file, in order.
-    let reference: Vec<_> = paths
-        .iter()
-        .map(|p| read_observations_resilient(fs::File::open(p).unwrap(), &cfg))
-        .collect();
+    let reference: Vec<_> = paths.iter().map(|p| read_file(p, &cfg)).collect();
 
     for threads in THREAD_COUNTS {
-        let (files, merged) = read_observations_parallel(&paths, &cfg, threads);
+        let (files, merged) = read_parallel(&paths, &cfg, threads);
         assert_eq!(files.len(), paths.len());
         for (file, (obs, report)) in files.iter().zip(&reference) {
-            assert_eq!(&file.observations, obs, "threads = {threads}");
+            assert_eq!(&rows(&file.store), obs, "threads = {threads}");
             // The supervised chain prefetches through a readahead layer the
             // direct read does not have; its block count is deterministic
             // (completely filled blocks of the default size). Everything
@@ -97,13 +123,12 @@ fn lenient_multi_file_ingest_is_identical_at_any_thread_count() {
             "threads = {threads}"
         );
         assert!(merged.bytes_skipped > 0, "corruption went unnoticed");
-        let mut by_hand = reference.iter().fold(
-            bgp_community_intent::mrt::IngestReport::default(),
-            |mut acc, (_, r)| {
+        let mut by_hand = reference
+            .iter()
+            .fold(IngestReport::default(), |mut acc, (_, r)| {
                 acc.merge(r);
                 acc
-            },
-        );
+            });
         // Direct reads carry no readahead layer; the supervised merge sums
         // one deterministic block count per file.
         assert_eq!(
@@ -122,13 +147,24 @@ fn strict_multi_file_ingest_is_identical_at_any_thread_count() {
     let dir = workdir("strict");
     let paths = archives(&dir, &observations, false);
 
+    // Strict ingestion is an error budget of zero.
+    let strict = RecoverConfig {
+        max_errors: Some(0),
+        ..RecoverConfig::default()
+    };
     let reference: Vec<_> = paths
         .iter()
-        .map(|p| read_observations_strict(fs::File::open(p).unwrap()).unwrap())
+        .map(|p| {
+            let (observations, report) = read_file(p, &strict);
+            assert!(report.aborted.is_none(), "{}: {report:?}", p.display());
+            observations
+        })
         .collect();
 
     for threads in THREAD_COUNTS {
-        let per_file = read_observations_parallel_strict(&paths, threads).unwrap();
+        let (files, merged) = read_parallel(&paths, &strict, threads);
+        assert!(merged.aborted.is_none(), "threads = {threads}");
+        let per_file: Vec<_> = files.iter().map(|f| rows(&f.store)).collect();
         assert_eq!(per_file, reference, "threads = {threads}");
     }
 }
