@@ -334,3 +334,146 @@ fn flaky_delivery_is_retried_to_an_identical_result() {
         "retried ingestion must salvage every byte"
     );
 }
+
+/// A checkpoint exactly as builds before the binary envelope wrote it:
+/// pretty-printed schema-2 JSON (fingerprint arrays trimmed).
+fn pre_binary_manifest(files: &[PathBuf]) -> String {
+    let files: Vec<String> = files
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\n      \"fingerprint\": {{\n        \"bytes\": 10655,\n        \
+                 \"hash\": 6685637747238123569\n      }},\n      \"path\": {:?}\n    }}",
+                p.to_str().unwrap()
+            )
+        })
+        .collect();
+    format!(
+        r#"{{
+  "checksum": 10966095916983126331,
+  "files": [
+{}
+  ],
+  "report": {{
+    "aborted": null,
+    "arena_bytes": 592,
+    "bytes_lost": 0,
+    "bytes_ok": 10655,
+    "bytes_read": 10655,
+    "bytes_skipped": 0,
+    "errors": {{
+      "budget_exceeded": 0,
+      "io": 0,
+      "malformed": 0,
+      "too_long": 0,
+      "truncated": 0,
+      "unsupported": 0
+    }},
+    "files_lost": 0,
+    "open_failed": null,
+    "panicked": 0,
+    "readahead_blocks": 1,
+    "records_read": 72,
+    "records_skipped": 0,
+    "records_truncated": 0,
+    "resync_events": 0,
+    "retries": 0,
+    "shards_failed": 0
+  }},
+  "schema": 2,
+  "snapshot": {{
+    "communities": [
+      {{
+        "asn": 1299,
+        "off": [],
+        "on": [
+          9128137588425882645,
+          16957323388027281879
+        ],
+        "value": 2000
+      }}
+    ],
+    "paths": [
+      9128137588425882645,
+      16957323388027281879
+    ],
+    "seen_asns": [
+      1299,
+      64500
+    ],
+    "tuples": [
+      1721359087974400497,
+      9621063461534177523
+    ]
+  }}
+}}
+"#,
+        files.join(",\n")
+    )
+}
+
+#[test]
+fn pre_binary_json_checkpoint_is_refused_on_resume() {
+    let dir = workdir("pre-binary");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    fs::write(&ckpt, pre_binary_manifest(&paths[..1])).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("a.json"),
+        &["--checkpoint", ckpt.to_str().unwrap(), "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(stderr.contains("pre-binary JSON checkpoint"), "{stderr}");
+    assert!(labels.is_none(), "a refused resume writes no labels");
+    // Refused, not rewritten: the old file is left for the operator.
+    assert_eq!(
+        fs::read_to_string(&ckpt).unwrap(),
+        pre_binary_manifest(&paths[..1])
+    );
+}
+
+#[test]
+fn shard_reruns_a_shard_whose_artifact_is_a_pre_binary_json_manifest() {
+    let dir = workdir("pre-binary-shard");
+    let paths = archives(&dir, 2, 30);
+    let (out, single) = infer_json(&paths, &dir.join("single.json"), &[]);
+    assert_eq!(out.status.code(), Some(0));
+
+    // One worker, so shard 0 covers both files; its leftover artifact is
+    // an old-format manifest listing exactly those files.
+    let shard_dir = dir.join("shards");
+    fs::create_dir_all(&shard_dir).unwrap();
+    let artifact = shard_dir.join("shard-000.ckpt");
+    fs::write(&artifact, pre_binary_manifest(&paths)).unwrap();
+    let metrics = dir.join("metrics.json");
+    let mut args = vec![
+        "shard",
+        "--top",
+        "0",
+        "--json",
+        dir.join("shard.json").to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--shard-dir",
+        shard_dir.to_str().unwrap(),
+        "--workers",
+        "1",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect::<Vec<_>>();
+    args.extend(mrt_args(&paths).into_iter().map(String::from));
+    let out = bgpcomm(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("reusing valid artifact"), "{stderr}");
+    let snapshot: serde_json::Value = serde_json::from_slice(&fs::read(&metrics).unwrap()).unwrap();
+    assert_eq!(snapshot["counters"]["shard/reused"].as_u64(), Some(0));
+    assert_eq!(fs::read(dir.join("shard.json")).ok(), single);
+    assert!(
+        !fs::read(&artifact).unwrap().starts_with(b"{"),
+        "the rerun replaced the old artifact with a binary one"
+    );
+}

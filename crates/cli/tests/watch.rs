@@ -509,3 +509,43 @@ fn sigterm_mid_shard_run_leaves_only_valid_or_absent_artifacts() {
         "the resumed run must match an uninterrupted single-process run"
     );
 }
+
+#[test]
+fn watch_refuses_a_pre_binary_json_checkpoint() {
+    let dir = workdir("pre-binary");
+    let paths = archives(&dir, 1, 40);
+    // A watch checkpoint exactly as builds before the binary envelope
+    // wrote it: compact schema-1 JSON (fingerprint arrays trimmed).
+    let old = concat!(
+        r#"{"advances":0,"buckets":[{"index":467496,"stats":{"communities":"#,
+        r#"[{"asn":1299,"off":[],"on":[17213590879203443071],"value":2000}],"#,
+        r#""paths":[17213590879203443071],"seen_asns":[1299,64500],"#,
+        r#""tuples":[4130919434467855057]}}],"checksum":8696964914786526113,"#,
+        r#""cumulative":{"communities":[{"asn":1299,"off":[],"#,
+        r#""on":[17213590879203443071],"value":2000}],"paths":[17213590879203443071],"#,
+        r#""seen_asns":[1299,64500],"tuples":[4130919434467855057]},"cursor":10655,"#,
+        r#""excluded":[],"flaps":0,"labels":[[85133264,"information"]],"late_drops":0,"#,
+        r#""observations":72,"reclassified_owners":1,"records":72,"schema":1,"#,
+        r#""window_secs":3600,"windowed":{"counts":[[85133264,1,0]],"#,
+        r#""seen_asns":[1299,64500],"unique_paths":1,"unique_tuples":1},"windows":24}"#,
+    );
+    let ckpt = dir.join("old.ckpt");
+    fs::write(&ckpt, old).unwrap();
+    let out = bgpcomm(&[
+        "watch",
+        "--tail",
+        paths[0].to_str().unwrap(),
+        "--quiesce-after",
+        "1",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(4), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("pre-binary JSON checkpoint"),
+        "{}",
+        stderr_of(&out)
+    );
+    // Refused, not overwritten.
+    assert_eq!(fs::read_to_string(&ckpt).unwrap(), old);
+}

@@ -20,6 +20,34 @@
 //!   writes temp-file-then-rename so a crash mid-write leaves the previous
 //!   checkpoint intact, never a torn one.
 //!
+//! # On-disk format
+//!
+//! `Checkpoint` and the watch daemon's
+//! [`WatchCheckpoint`](crate::watch::WatchCheckpoint) share one sealed
+//! binary envelope and one loader:
+//!
+//! ```text
+//! magic      [u8; 8]   "BGPCKPT\0" (batch / shard) or "BGPWTCH\0" (watch)
+//! schema     u32 LE
+//! seal       u64 LE    FNV-1a 64 over the whole file, this slot zeroed
+//! header_len u64 LE
+//! header     [u8; header_len]   compact JSON: every small field
+//! columns    one block per StatsSnapshot, in a fixed order:
+//!   n_paths, n_tuples, n_asns, n_communities   u64 LE each
+//!   paths [u64 LE; n_paths]   tuples [u64 LE; n_tuples]
+//!   seen_asns [u32 LE; n_asns]
+//!   per community: asn u16 LE, value u16 LE, n_on u64 LE, n_off u64 LE,
+//!                  on [u64 LE; n_on], off [u64 LE; n_off]
+//! ```
+//!
+//! The fingerprint columns are raw little-endian words rather than JSON
+//! numbers, so encoding is a copy and the file is well under half the
+//! size of a decimal rendering. The loader checks, in order: magic,
+//! schema, seal, header, then each column, testing every recorded length
+//! against the bytes that remain before allocating for it, and refuses
+//! trailing bytes. A JSON manifest from an older build (it starts with
+//! `{`) is refused as [`CheckpointLoadError::LegacyJson`].
+//!
 //! # Why fingerprints
 //!
 //! [`PathStats`] merging by summing counts is only exact when every
@@ -49,8 +77,9 @@ use crate::stats::{OnPathIndex, PathCounts, PathStats};
 
 /// Version stamp inside every checkpoint file; bump on layout changes so a
 /// resume against an incompatible manifest refuses instead of misreading.
-/// Schema 2 added the mandatory payload `checksum`.
-pub const CHECKPOINT_SCHEMA: u32 = 2;
+/// Schema 2 added the mandatory payload `checksum`; schema 3 replaced the
+/// JSON manifest with the sealed binary envelope (see "On-disk format").
+pub const CHECKPOINT_SCHEMA: u32 = 3;
 
 /// Content fingerprint of one AS path.
 pub fn path_fingerprint(path: &AsPath) -> u64 {
@@ -594,8 +623,10 @@ pub enum CheckpointLoadError {
         /// The underlying error.
         source: io::Error,
     },
-    /// The bytes on disk are not a well-formed manifest: truncated file,
-    /// invalid JSON, or a payload checksum mismatch (bit rot, torn write).
+    /// The bytes on disk are not a well-formed manifest: bad magic,
+    /// truncated file, a seal (payload checksum) mismatch from bit rot or a
+    /// torn write, an unparsable header, a column length that overruns the
+    /// file, or trailing bytes.
     Corrupt {
         /// The manifest path.
         path: PathBuf,
@@ -610,6 +641,13 @@ pub enum CheckpointLoadError {
         found: u32,
         /// The schema this build reads and writes.
         expected: u32,
+    },
+    /// A JSON manifest written by a build that predates the binary
+    /// envelope (batch schema 2, watch schema 1). Refused, never
+    /// migrated: delete it, or finish that run with the older binary.
+    LegacyJson {
+        /// The manifest path.
+        path: PathBuf,
     },
 }
 
@@ -652,6 +690,14 @@ impl fmt::Display for CheckpointLoadError {
                     path.display()
                 )
             }
+            CheckpointLoadError::LegacyJson { path } => {
+                write!(
+                    f,
+                    "{}: pre-binary JSON checkpoint from an older build; \
+                     delete it, or finish that run with the older binary",
+                    path.display()
+                )
+            }
         }
     }
 }
@@ -676,14 +722,22 @@ impl From<CheckpointLoadError> for io::Error {
 
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics snapshot to resume from.
+///
+/// On disk it is the sealed binary envelope (module docs, "On-disk
+/// format"): the small fields travel in the JSON header, `snapshot` as
+/// the one column block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// Layout version ([`CHECKPOINT_SCHEMA`]).
+    /// Layout version ([`CHECKPOINT_SCHEMA`]), stored in the envelope
+    /// prelude.
+    #[serde(skip)]
     pub schema: u32,
-    /// FNV-1a 64 over the manifest serialized with this field zeroed —
+    /// FNV-1a 64 over the written file with the seal slot zeroed —
     /// recomputed on load so a truncated or bit-flipped manifest is
-    /// rejected instead of resuming from silently-wrong state.
-    #[serde(default)]
+    /// rejected instead of resuming from silently-wrong state. Filled in
+    /// by [`load`](Self::load); ignored by [`save_atomic`](Self::save_atomic),
+    /// which always writes a fresh seal.
+    #[serde(skip)]
     pub checksum: u64,
     /// Files fully ingested, in completion (= input) order. Files that
     /// failed (open error, abort, worker panic) are *not* recorded, so a
@@ -691,7 +745,9 @@ pub struct Checkpoint {
     pub files: Vec<CompletedFile>,
     /// Merged ingest accounting over the completed files.
     pub report: IngestReport,
-    /// The statistics accumulated over the completed files.
+    /// The statistics accumulated over the completed files (the column
+    /// block).
+    #[serde(skip)]
     pub snapshot: StatsSnapshot,
 }
 
@@ -721,106 +777,308 @@ impl Checkpoint {
             .map(|f| &f.fingerprint)
     }
 
-    /// FNV-1a 64 over this manifest serialized with `checksum` zeroed —
-    /// the integrity seal [`save_atomic`](Self::save_atomic) embeds and
-    /// [`load`](Self::load) verifies. Canonical (compact) serialization of
-    /// the in-memory value, so whitespace never participates.
+    /// The seal [`save_atomic`](Self::save_atomic) would embed: FNV-1a 64
+    /// over the encoded file with the seal slot zeroed. Independent of the
+    /// `checksum` field itself.
     pub fn payload_checksum(&self) -> u64 {
-        unsealed_checksum(&mut self.clone())
+        seal_of(&encode_sealed(self))
     }
 
-    /// Write the manifest atomically (pretty JSON): seal the payload
-    /// checksum, then [`write_atomic`]. A crash at any point leaves either
-    /// the previous checkpoint or the new one — never a torn file.
+    /// Encode and seal the manifest, then [`write_atomic`]. A crash at any
+    /// point leaves either the previous checkpoint or the new one — never
+    /// a torn file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        save_sealed(self, path, serde_json::to_string_pretty)
+        save_sealed(self, path)
     }
 
-    /// Load and validate a manifest: parse, check the schema, then verify
-    /// the embedded payload checksum. Truncation (invalid JSON) and bit
-    /// flips that alter any recorded state are rejected with a typed
-    /// [`CheckpointLoadError`] — never a panic, never partial state.
+    /// Load and validate a manifest: magic, schema, seal, header, then the
+    /// column block. Truncation, bit flips, forged lengths and pre-binary
+    /// JSON manifests are rejected with a typed [`CheckpointLoadError`] —
+    /// never a panic, never partial state.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointLoadError> {
         load_sealed(path)
     }
 }
 
 impl Sealed for Checkpoint {
+    const MAGIC: [u8; 8] = *b"BGPCKPT\0";
     const SCHEMA: u32 = CHECKPOINT_SCHEMA;
 
     fn schema(&self) -> u32 {
         self.schema
     }
 
-    fn checksum_mut(&mut self) -> &mut u64 {
-        &mut self.checksum
+    fn set_prelude(&mut self, schema: u32, checksum: u64) {
+        self.schema = schema;
+        self.checksum = checksum;
+    }
+
+    fn columns(&self) -> Vec<&StatsSnapshot> {
+        vec![&self.snapshot]
+    }
+
+    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot> {
+        vec![&mut self.snapshot]
     }
 }
 
-/// A checksummed ("sealed") JSON manifest: a `schema` stamp plus a
-/// `checksum` field holding FNV-1a 64 over the value serialized compactly
-/// with that field zeroed. [`Checkpoint`] and the watch daemon's
-/// checkpoint share this format and its loader.
-pub(crate) trait Sealed: Clone + Serialize + for<'de> Deserialize<'de> {
+/// A manifest stored as the sealed binary envelope described in the
+/// module docs ("On-disk format"): [`Checkpoint`] (and so every shard
+/// artifact) and the watch daemon's checkpoint. The header is the value's
+/// own serde form, with the column fields and `schema`/`checksum`
+/// `#[serde(skip)]`ped.
+pub(crate) trait Sealed: Serialize + for<'de> Deserialize<'de> {
+    /// File magic: which manifest kind this is.
+    const MAGIC: [u8; 8];
     /// The layout version this build reads and writes.
     const SCHEMA: u32;
     /// The layout version recorded in this value.
     fn schema(&self) -> u32;
-    /// The embedded checksum field.
-    fn checksum_mut(&mut self) -> &mut u64;
+    /// Store the prelude's schema and seal into a freshly loaded value.
+    fn set_prelude(&mut self, schema: u32, checksum: u64);
+    /// The column blocks, in file order.
+    fn columns(&self) -> Vec<&StatsSnapshot>;
+    /// Slots for the column blocks, in file order, once the header has
+    /// been parsed (it fixes how many there are).
+    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot>;
 }
 
-/// The checksum of `value` with its checksum field zeroed (restored
-/// before returning).
-pub(crate) fn unsealed_checksum<T: Sealed>(value: &mut T) -> u64 {
-    let recorded = std::mem::take(value.checksum_mut());
-    let json = serde_json::to_string(value).expect("in-memory checkpoint always serializes");
-    *value.checksum_mut() = recorded;
-    fnv1a(FNV_OFFSET, json.as_bytes())
+const SCHEMA_AT: usize = 8;
+const SEAL_AT: usize = 12;
+const HEADER_LEN_AT: usize = 20;
+const PRELUDE_LEN: usize = 28;
+/// Smallest per-community record: asn, value and the two lengths.
+const COMMUNITY_MIN: usize = 2 + 2 + 8 + 8;
+
+fn column_len(s: &StatsSnapshot) -> usize {
+    4 * 8
+        + 8 * (s.paths.len() + s.tuples.len())
+        + 4 * s.seen_asns.len()
+        + s.communities
+            .iter()
+            .map(|c| COMMUNITY_MIN + 8 * (c.on.len() + c.off.len()))
+            .sum::<usize>()
 }
 
-/// Seal `value`'s checksum, render it with `render` (pretty or compact
-/// JSON), and write it plus a trailing newline with [`write_atomic`].
-pub(crate) fn save_sealed<T: Sealed>(
-    value: &T,
-    path: &Path,
-    render: fn(&T) -> serde_json::Result<String>,
-) -> io::Result<()> {
-    let mut sealed = value.clone();
-    *sealed.checksum_mut() = unsealed_checksum(&mut sealed);
-    let mut json =
-        render(&sealed).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    json.push('\n');
-    write_atomic(path, json.as_bytes())
+fn put_u64s(buf: &mut Vec<u8>, words: &[u64]) {
+    for w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
 }
 
-/// Read and validate a sealed manifest: parse, check the schema, verify
-/// the checksum. Every failure is a typed [`CheckpointLoadError`].
+fn put_len(buf: &mut Vec<u8>, n: usize) {
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+}
+
+fn encode_column(s: &StatsSnapshot, buf: &mut Vec<u8>) {
+    for n in [
+        s.paths.len(),
+        s.tuples.len(),
+        s.seen_asns.len(),
+        s.communities.len(),
+    ] {
+        put_len(buf, n);
+    }
+    put_u64s(buf, &s.paths);
+    put_u64s(buf, &s.tuples);
+    for a in &s.seen_asns {
+        buf.extend_from_slice(&a.to_le_bytes());
+    }
+    for c in &s.communities {
+        buf.extend_from_slice(&c.asn.to_le_bytes());
+        buf.extend_from_slice(&c.value.to_le_bytes());
+        put_len(buf, c.on.len());
+        put_len(buf, c.off.len());
+        put_u64s(buf, &c.on);
+        put_u64s(buf, &c.off);
+    }
+}
+
+/// Encode `value` as a sealed envelope, straight from the borrow: one
+/// pass, one allocation sized up front, then the seal.
+pub(crate) fn encode_sealed<T: Sealed>(value: &T) -> Vec<u8> {
+    let header = serde_json::to_string(value).expect("in-memory checkpoint header serializes");
+    let columns = value.columns();
+    let len = PRELUDE_LEN + header.len() + columns.iter().map(|s| column_len(s)).sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
+    buf.extend_from_slice(&T::MAGIC);
+    buf.extend_from_slice(&value.schema().to_le_bytes());
+    buf.extend_from_slice(&0u64.to_le_bytes());
+    put_len(&mut buf, header.len());
+    buf.extend_from_slice(header.as_bytes());
+    for s in columns {
+        encode_column(s, &mut buf);
+    }
+    debug_assert_eq!(buf.len(), len);
+    let seal = fnv1a(FNV_OFFSET, &buf);
+    buf[SEAL_AT..SEAL_AT + 8].copy_from_slice(&seal.to_le_bytes());
+    buf
+}
+
+/// The seal recorded in an encoded envelope.
+pub(crate) fn seal_of(encoded: &[u8]) -> u64 {
+    u64::from_le_bytes(
+        encoded[SEAL_AT..SEAL_AT + 8]
+            .try_into()
+            .expect("8-byte slot"),
+    )
+}
+
+/// Encode, seal, and [`write_atomic`].
+pub(crate) fn save_sealed<T: Sealed>(value: &T, path: &Path) -> io::Result<()> {
+    write_atomic(path, &encode_sealed(value))
+}
+
+/// A bounds-checked cursor over an envelope's bytes. Every recorded length
+/// is checked (with checked arithmetic) against what remains *before*
+/// anything is allocated for it.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.rest.len() {
+            return Err(format!(
+                "{what} needs {n} bytes, {} remain",
+                self.rest.len()
+            ));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u16(&mut self, what: &str) -> Result<u16, String> {
+        let b = self.take(2, what)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, String> {
+        let b = self.take(8, what)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes taken")))
+    }
+
+    /// `count` as a `usize`, refused unless `count × width` bytes remain.
+    fn fits(&self, count: u64, width: usize, what: &str) -> Result<usize, String> {
+        usize::try_from(count)
+            .ok()
+            .filter(|&n| n.checked_mul(width).is_some_and(|b| b <= self.rest.len()))
+            .ok_or_else(|| {
+                format!(
+                    "{what} length {count} overruns the {} bytes that remain",
+                    self.rest.len()
+                )
+            })
+    }
+
+    /// The bytes of `count` elements of `width` bytes each.
+    fn array(&mut self, count: u64, width: usize, what: &str) -> Result<&'a [u8], String> {
+        let n = self.fits(count, width, what)?;
+        self.take(n * width, what)
+    }
+
+    /// `count` little-endian `u64`s.
+    fn u64s(&mut self, count: u64, what: &str) -> Result<Vec<u64>, String> {
+        Ok(self
+            .array(count, 8, what)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+}
+
+fn decode_column(r: &mut Cursor<'_>) -> Result<StatsSnapshot, String> {
+    let n_paths = r.u64("path count")?;
+    let n_tuples = r.u64("tuple count")?;
+    let n_asns = r.u64("ASN count")?;
+    let n_communities = r.u64("community count")?;
+    let paths = r.u64s(n_paths, "paths")?;
+    let tuples = r.u64s(n_tuples, "tuples")?;
+    let seen_asns = r
+        .array(n_asns, 4, "seen_asns")?
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+        .collect();
+    let mut communities =
+        Vec::with_capacity(r.fits(n_communities, COMMUNITY_MIN, "communities")?);
+    for _ in 0..n_communities {
+        let asn = r.u16("community asn")?;
+        let value = r.u16("community value")?;
+        let n_on = r.u64("on-path count")?;
+        let n_off = r.u64("off-path count")?;
+        communities.push(SnapshotCommunity {
+            asn,
+            value,
+            on: r.u64s(n_on, "on-path")?,
+            off: r.u64s(n_off, "off-path")?,
+        });
+    }
+    Ok(StatsSnapshot {
+        paths,
+        tuples,
+        seen_asns,
+        communities,
+    })
+}
+
+/// Read and validate a sealed manifest, in order: magic, schema, seal,
+/// header, columns, no trailing bytes. Every failure is a typed
+/// [`CheckpointLoadError`]; nothing is allocated beyond the file's own
+/// size, whatever the recorded lengths claim.
 pub(crate) fn load_sealed<T: Sealed>(path: &Path) -> Result<T, CheckpointLoadError> {
-    let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
+    let mut raw = std::fs::read(path).map_err(|source| CheckpointLoadError::Io {
         path: path.to_path_buf(),
         source,
     })?;
-    let mut value: T = serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
+    let corrupt = |detail: String| CheckpointLoadError::Corrupt {
         path: path.to_path_buf(),
-        detail: e.to_string(),
-    })?;
-    if value.schema() != T::SCHEMA {
+        detail,
+    };
+    if !raw.starts_with(&T::MAGIC) {
+        if raw.first() == Some(&b'{') {
+            return Err(CheckpointLoadError::LegacyJson {
+                path: path.to_path_buf(),
+            });
+        }
+        return Err(corrupt(if T::MAGIC.starts_with(&raw) {
+            format!("truncated to {} bytes", raw.len())
+        } else {
+            "bad magic".to_string()
+        }));
+    }
+    if raw.len() < PRELUDE_LEN {
+        return Err(corrupt(format!("truncated to {} bytes", raw.len())));
+    }
+    let schema = u32::from_le_bytes(raw[SCHEMA_AT..SEAL_AT].try_into().expect("4 bytes"));
+    if schema != T::SCHEMA {
         return Err(CheckpointLoadError::SchemaMismatch {
             path: path.to_path_buf(),
-            found: value.schema(),
+            found: schema,
             expected: T::SCHEMA,
         });
     }
-    let recorded = *value.checksum_mut();
-    let expected = unsealed_checksum(&mut value);
-    if recorded != expected {
-        return Err(CheckpointLoadError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!(
-                "payload checksum {recorded:#018x} recorded, {expected:#018x} computed"
-            ),
-        });
+    let recorded = seal_of(&raw);
+    raw[SEAL_AT..SEAL_AT + 8].fill(0);
+    let computed = fnv1a(FNV_OFFSET, &raw);
+    if recorded != computed {
+        return Err(corrupt(format!(
+            "payload checksum {recorded:#018x} recorded, {computed:#018x} computed"
+        )));
+    }
+    let mut r = Cursor {
+        rest: &raw[HEADER_LEN_AT..],
+    };
+    let header_len = r.u64("header length").map_err(corrupt)?;
+    let header = r.array(header_len, 1, "header").map_err(corrupt)?;
+    let mut value: T =
+        serde_json::from_slice(header).map_err(|e| corrupt(format!("header: {e}")))?;
+    value.set_prelude(schema, recorded);
+    for slot in value.columns_mut() {
+        *slot = decode_column(&mut r).map_err(corrupt)?;
+    }
+    if !r.rest.is_empty() {
+        return Err(corrupt(format!("{} trailing bytes", r.rest.len())));
     }
     Ok(value)
 }
@@ -1088,9 +1346,9 @@ mod tests {
     fn truncated_checkpoint_is_rejected_not_panicked() {
         let (path, _) = saved_checkpoint("bgp-intent-ckpt-truncate");
         let full = std::fs::read(&path).unwrap();
-        // Every truncation point — empty file, one byte, mid-JSON, the
-        // closing brace gone — must yield a clean typed error. (The file
-        // ends "}\n", so the last cut that actually damages it is len-2.)
+        // Every truncation point — empty file, inside the magic, inside the
+        // header, inside the column block, the last words gone — must
+        // yield a clean typed error.
         for cut in [0, 1, full.len() / 4, full.len() / 2, full.len() - 2] {
             std::fs::write(&path, &full[..cut]).unwrap();
             let err = Checkpoint::load(&path).unwrap_err();
@@ -1131,15 +1389,53 @@ mod tests {
     fn checksum_seal_survives_reload_and_detects_field_tampering() {
         let (path, loaded) = saved_checkpoint("bgp-intent-ckpt-tamper");
         assert_eq!(loaded.checksum, loaded.payload_checksum());
-        // Rewrite one recorded value without resealing: JSON still parses,
-        // schema still matches — only the checksum catches it.
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let tampered = raw.replace("\"records_read\": 120", "\"records_read\": 121");
-        assert_ne!(tampered, raw, "tamper target must exist in the manifest");
-        std::fs::write(&path, tampered).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        let expect_checksum_refusal = |damaged: &[u8], what: &str| {
+            std::fs::write(&path, damaged).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert!(
+                matches!(err, CheckpointLoadError::Corrupt { ref detail, .. } if detail.contains("checksum")),
+                "{what}: {err}"
+            );
+        };
+        // Rewrite one digit of a header value without resealing: the header
+        // still parses and the schema still matches — only the seal
+        // catches it.
+        let needle = b"\"records_read\":120";
+        let at = raw
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("tamper target must exist in the header");
+        let mut header_tampered = raw.clone();
+        header_tampered[at + needle.len() - 1] = b'1';
+        expect_checksum_refusal(&header_tampered, "header byte");
+        // One byte inside the column block (the last on-/off-path word):
+        // every length still fits, so again only the seal catches it.
+        let mut column_tampered = raw.clone();
+        let last = column_tampered.len() - 1;
+        column_tampered[last] ^= 0x01;
+        expect_checksum_refusal(&column_tampered, "column byte");
+    }
+
+    #[test]
+    fn pre_binary_json_checkpoint_is_refused_as_legacy() {
+        let dir = std::env::temp_dir().join("bgp-intent-ckpt-legacy");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        std::fs::write(
+            &path,
+            "{\n  \"checksum\": 10966095916983126331,\n  \"files\": [],\n  \"schema\": 2\n}\n",
+        )
+        .unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(
-            matches!(err, CheckpointLoadError::Corrupt { ref detail, .. } if detail.contains("checksum")),
+            matches!(err, CheckpointLoadError::LegacyJson { .. }),
+            "{err}"
+        );
+        assert!(err.is_invalid_data());
+        assert!(
+            err.to_string().contains("pre-binary JSON checkpoint"),
             "{err}"
         );
     }

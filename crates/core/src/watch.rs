@@ -11,9 +11,13 @@
 //!   them against the stats of the previous reclassification, and re-runs
 //!   the classifier for dirty owners only. Late observations to evicted
 //!   buckets are dropped and counted, never folded twice.
-//! * [`WatchCheckpoint`] — atomic (temp + fsync + rename), checksummed
+//! * [`WatchCheckpoint`] — atomic (temp + fsync + rename), sealed binary
 //!   manifest holding the stream cursor, the cumulative accumulator, every
-//!   retained bucket, the label map, and the flap counters. Restoring it
+//!   retained bucket, the label map, and the flap counters. It shares the
+//!   batch checkpoint's envelope ([`crate::checkpoint`], "On-disk
+//!   format"): counters, geometry, labels and exclusions in the JSON
+//!   header, then the cumulative snapshot and each bucket's snapshot, in
+//!   ascending bucket order, as raw little-endian column blocks. Restoring it
 //!   reproduces the daemon's exact state at the recorded cursor, so a
 //!   resumed run counts the same flaps an uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
@@ -51,16 +55,17 @@ use bgp_types::{Asn, Community, Intent, Observation};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
-    load_sealed, save_sealed, unsealed_checksum, CheckpointLoadError, Sealed, StatsAccumulator,
-    StatsSnapshot,
+    encode_sealed, load_sealed, save_sealed, seal_of, CheckpointLoadError, Sealed,
+    StatsAccumulator, StatsSnapshot,
 };
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
 
 /// Version stamp inside every watch checkpoint; bump on layout changes so
 /// a resume against an incompatible manifest refuses instead of
-/// misreading.
-pub const WATCH_CHECKPOINT_SCHEMA: u32 = 1;
+/// misreading. Schema 2 is the sealed binary envelope shared with the
+/// batch checkpoint (see [`crate::checkpoint`], "On-disk format").
+pub const WATCH_CHECKPOINT_SCHEMA: u32 = 2;
 
 /// Sliding-window geometry: bucket width in stream seconds and how many
 /// buckets the window retains.
@@ -407,11 +412,12 @@ impl WindowedClassifier {
 }
 
 /// One retained bucket inside a [`WatchCheckpoint`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WatchBucket {
     /// The bucket index (`time / window_secs`).
     pub index: u64,
-    /// The bucket's accumulated statistics.
+    /// The bucket's accumulated statistics (a column block on disk).
+    #[serde(skip)]
     pub stats: StatsSnapshot,
 }
 
@@ -421,7 +427,7 @@ pub struct WatchBucket {
 /// (It is *not* derivable from the buckets: folds into the head bucket
 /// after the reclassification are part of the buckets but not of the diff
 /// base.)
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WindowedStatsSnapshot {
     /// `(packed community, on, off)` sorted by packed key.
     pub counts: Vec<(u32, u32, u32)>,
@@ -467,13 +473,18 @@ impl WindowedStatsSnapshot {
 
 /// The streaming daemon's crash-recovery manifest: everything needed to
 /// resume at `cursor` with bit-identical downstream behavior. Written
-/// atomically ([`save_atomic`](Self::save_atomic)) and checksummed, like
-/// the batch [`Checkpoint`](crate::checkpoint::Checkpoint).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// atomically ([`save_atomic`](Self::save_atomic)) and sealed, in the same
+/// binary envelope as the batch
+/// [`Checkpoint`](crate::checkpoint::Checkpoint).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WatchCheckpoint {
-    /// Layout version ([`WATCH_CHECKPOINT_SCHEMA`]).
+    /// Layout version ([`WATCH_CHECKPOINT_SCHEMA`]), stored in the
+    /// envelope prelude.
+    #[serde(skip)]
     pub schema: u32,
-    /// FNV-1a 64 over the serialized payload with this field zeroed.
+    /// FNV-1a 64 over the written file with the seal slot zeroed; filled
+    /// in by [`load`](Self::load).
+    #[serde(skip)]
     pub checksum: u64,
     /// Resume position in the delivered byte stream (frame-aligned: every
     /// byte before it has been decoded or resynced past and folded).
@@ -494,7 +505,9 @@ pub struct WatchCheckpoint {
     pub window_secs: u32,
     /// Retained bucket count the run was started with.
     pub windows: usize,
-    /// The cumulative accumulator (batch-parity substrate).
+    /// The cumulative accumulator (batch-parity substrate; the first
+    /// column block on disk).
+    #[serde(skip)]
     pub cumulative: StatsSnapshot,
     /// Every retained window bucket, ascending by index.
     pub buckets: Vec<WatchBucket>,
@@ -557,36 +570,52 @@ impl WatchCheckpoint {
         }
     }
 
-    /// The checksum of everything but the checksum field itself.
+    /// The seal [`save_atomic`](Self::save_atomic) would embed: FNV-1a 64
+    /// over the encoded file with the seal slot zeroed.
     pub fn payload_checksum(&self) -> u64 {
-        unsealed_checksum(&mut self.clone())
+        seal_of(&encode_sealed(self))
     }
 
-    /// Write atomically (compact JSON): seal the checksum, then
+    /// Encode and seal, then
     /// [`write_atomic`](bgp_types::durable::write_atomic). A crash at any
     /// point leaves the previous checkpoint or this one — never a torn
     /// file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        save_sealed(self, path, serde_json::to_string)
+        save_sealed(self, path)
     }
 
-    /// Load and validate: parse, check the schema, verify the checksum.
-    /// Truncation and bit flips are rejected with a typed error, never a
-    /// panic or partial state.
+    /// Load and validate: magic, schema, seal, header, then the column
+    /// blocks. Truncation, bit flips, forged lengths and pre-binary JSON
+    /// checkpoints are rejected with a typed error, never a panic or
+    /// partial state.
     pub fn load(path: &Path) -> Result<WatchCheckpoint, CheckpointLoadError> {
         load_sealed(path)
     }
 }
 
 impl Sealed for WatchCheckpoint {
+    const MAGIC: [u8; 8] = *b"BGPWTCH\0";
     const SCHEMA: u32 = WATCH_CHECKPOINT_SCHEMA;
 
     fn schema(&self) -> u32 {
         self.schema
     }
 
-    fn checksum_mut(&mut self) -> &mut u64 {
-        &mut self.checksum
+    fn set_prelude(&mut self, schema: u32, checksum: u64) {
+        self.schema = schema;
+        self.checksum = checksum;
+    }
+
+    fn columns(&self) -> Vec<&StatsSnapshot> {
+        std::iter::once(&self.cumulative)
+            .chain(self.buckets.iter().map(|b| &b.stats))
+            .collect()
+    }
+
+    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot> {
+        std::iter::once(&mut self.cumulative)
+            .chain(self.buckets.iter_mut().map(|b| &mut b.stats))
+            .collect()
     }
 }
 

@@ -1,15 +1,77 @@
-//! Property-based tests: invariants of clustering, statistics, and
-//! classification.
+//! Property-based tests: invariants of clustering, statistics,
+//! classification, and the sealed checkpoint envelope.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
-use bgp_intent::StatsAccumulator;
+use bgp_intent::{
+    Checkpoint, CheckpointLoadError, CompletedFile, FileFingerprint, StatsAccumulator,
+    WatchCheckpoint, WindowConfig, WindowedClassifier,
+};
 use bgp_relationships::SiblingMap;
+use bgp_types::durable::{fnv1a, FNV_OFFSET};
 use bgp_types::store::ObservationStore;
 use bgp_types::{AsPath, Asn, Community, Observation, PathSegment};
+
+/// Records the largest single heap request made on the current thread
+/// while armed ([`largest_allocation`]), so a test can hold the checkpoint
+/// loader to "nothing bigger than the file", whatever a forged length
+/// claims.
+struct PeakAlloc;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(size)));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static PEAK_ALLOC: PeakAlloc = PeakAlloc;
+
+/// Run `f` and return its result with the largest single allocation it
+/// made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let out = f();
+    ARMED.with(|armed| armed.set(false));
+    (out, PEAK.with(Cell::get))
+}
 
 fn arb_betas() -> impl Strategy<Value = Vec<u16>> {
     prop::collection::btree_set(any::<u16>(), 0..80).prop_map(|s| s.into_iter().collect())
@@ -265,5 +327,181 @@ proptest! {
         let b = classify(&stats, &siblings, &InferenceConfig::default());
         prop_assert_eq!(a.labels, b.labels);
         prop_assert_eq!(a.excluded, b.excluded);
+    }
+}
+
+/// A fresh directory for one test case's checkpoint files, unique across
+/// concurrently running tests.
+fn envelope_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bgp-intent-envelope-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Envelope prelude offsets (module docs of `bgp_intent::checkpoint`,
+/// "On-disk format"): magic, schema u32, seal u64, header length u64.
+const SEAL_AT: usize = 12;
+const PRELUDE_LEN: usize = 28;
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Re-seal an edited envelope so the seal passes and the loader's own
+/// length checks are what must refuse it.
+fn reseal(bytes: &mut [u8]) {
+    bytes[SEAL_AT..SEAL_AT + 8].fill(0);
+    let seal = fnv1a(FNV_OFFSET, bytes);
+    bytes[SEAL_AT..SEAL_AT + 8].copy_from_slice(&seal.to_le_bytes());
+}
+
+/// Forged copies of a sealed envelope, each resealed: the header length
+/// and each of the first column block's four counts set to `u64::MAX` and
+/// to one element more than the bytes left at that point can hold.
+fn forged_lengths(sealed: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let len = sealed.len();
+    let col = PRELUDE_LEN + le_u64(sealed, PRELUDE_LEN - 8) as usize;
+    let mut rest = len - (col + 32);
+    let mut fields = vec![(
+        "header length".to_string(),
+        PRELUDE_LEN - 8,
+        len - PRELUDE_LEN + 1,
+    )];
+    for (i, (name, width)) in [
+        ("paths", 8),
+        ("tuples", 8),
+        ("seen_asns", 4),
+        ("communities", 20),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let at = col + 8 * i;
+        fields.push((name.to_string(), at, rest / width + 1));
+        rest -= width * le_u64(sealed, at) as usize;
+    }
+    let mut forged = Vec::new();
+    for (name, at, one_past) in fields {
+        for value in [u64::MAX, one_past as u64] {
+            let mut bytes = sealed.to_vec();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bytes);
+            forged.push((format!("{name} = {value}"), bytes));
+        }
+    }
+    forged
+}
+
+/// The damage every sealed envelope must survive: each strict prefix and
+/// each forged length is refused as `Corrupt` — never a panic, and never
+/// an allocation sized by the forged claim: no single request larger than
+/// the file itself or than the largest one loading the genuine file makes.
+fn assert_damage_refused<T: std::fmt::Debug>(
+    path: &Path,
+    load: fn(&Path) -> Result<T, CheckpointLoadError>,
+) {
+    let sealed = std::fs::read(path).unwrap();
+    let (genuine, genuine_peak) = largest_allocation(|| load(path));
+    genuine.unwrap();
+    let bound = genuine_peak.max(sealed.len());
+    // Shorten the one file in place, longest prefix first.
+    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    for cut in (0..sealed.len()).rev() {
+        file.set_len(cut as u64).unwrap();
+        let err = load(path).unwrap_err();
+        assert!(
+            matches!(err, CheckpointLoadError::Corrupt { .. }),
+            "cut at {cut}/{}: {err}",
+            sealed.len()
+        );
+    }
+    drop(file);
+    for (what, bytes) in forged_lengths(&sealed) {
+        std::fs::write(path, &bytes).unwrap();
+        let (result, peak) = largest_allocation(|| load(path));
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, CheckpointLoadError::Corrupt { .. }),
+            "forged {what}: {err}"
+        );
+        assert!(
+            peak <= bound,
+            "forged {what}: allocated {peak} bytes, bound {bound} ({}-byte file)",
+            bytes.len()
+        );
+    }
+    std::fs::write(path, &sealed).unwrap();
+}
+
+/// Observations spread over time so a watch run crosses window advances.
+fn timed(mut observations: Vec<Observation>, step: u32) -> Vec<Observation> {
+    for (i, o) in observations.iter_mut().enumerate() {
+        o.time = i as u32 * step;
+    }
+    observations
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn checkpoint_envelope_roundtrips_and_refuses_damage(
+        observations in arb_observations(),
+        siblings in arb_siblings(),
+        cadence in 1usize..12,
+    ) {
+        let dir = envelope_dir("batch");
+        let path = dir.join("run.ckpt");
+        let mut acc = StatsAccumulator::new();
+        let mut cp = Checkpoint::new();
+        for (i, file) in observations.chunks(cadence).enumerate() {
+            acc.ingest(file, &siblings, 1);
+            cp.files.push(CompletedFile {
+                path: format!("updates.{i:02}.mrt"),
+                fingerprint: FileFingerprint { bytes: file.len() as u64, hash: i as u64 },
+            });
+            cp.report.records_read += file.len() as u64;
+            cp.snapshot = acc.snapshot().clone();
+        }
+        cp.save_atomic(&path).unwrap();
+        let back = Checkpoint::load(&path).unwrap();
+        prop_assert_eq!(&back, &Checkpoint { checksum: cp.payload_checksum(), ..cp.clone() });
+        assert_damage_refused(&path, Checkpoint::load);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn watch_checkpoint_envelope_roundtrips_and_refuses_damage(
+        observations in arb_observations(),
+        siblings in arb_siblings(),
+        step in 1u32..60,
+        cadence in 1usize..12,
+    ) {
+        let dir = envelope_dir("watch");
+        let path = dir.join("watch.ckpt");
+        let window = WindowConfig { window_secs: 100, windows: 3 };
+        let mut classifier = WindowedClassifier::new(window, InferenceConfig::default());
+        let mut cumulative = StatsAccumulator::new();
+        let observations = timed(observations, step);
+        let mut cp = WatchCheckpoint::capture(&mut classifier, &mut cumulative, 0, 0, 0);
+        for (i, batch) in observations.chunks(cadence).enumerate() {
+            for o in batch {
+                classifier.observe(o, &siblings);
+            }
+            cumulative.ingest_ordered(batch, &siblings);
+            let seen = (i * cadence + batch.len()) as u64;
+            cp = WatchCheckpoint::capture(&mut classifier, &mut cumulative, 40 * seen, seen, seen);
+        }
+        cp.save_atomic(&path).unwrap();
+        let back = WatchCheckpoint::load(&path).unwrap();
+        prop_assert_eq!(&back, &WatchCheckpoint { checksum: cp.payload_checksum(), ..cp.clone() });
+        assert_damage_refused(&path, WatchCheckpoint::load);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
