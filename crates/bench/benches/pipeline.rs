@@ -19,8 +19,7 @@ use bgp_intent::eval::evaluate;
 use bgp_intent::stats::PathStats;
 use bgp_intent::{
     run_inference, run_inference_from_stats, run_inference_store, run_inference_store_telemetry,
-    run_watch, Checkpoint, CompletedFile, FileFingerprint, StatsAccumulator, WatchOptions,
-    WindowConfig,
+    run_watch, Checkpoint, CompletedFile, FileFingerprint, WatchOptions, WindowConfig,
 };
 use bgp_mrt::obs::{
     read_observations_parallel_store_telemetry, read_observations_resilient_into,
@@ -87,10 +86,9 @@ fn bench_pipeline(c: &mut Criterion) {
 
     // The checkpointed-run path, as `infer --checkpoint` takes it: intern
     // each "file" (8 slices standing in for 8 MRT archives) into a
-    // columnar store, accumulate statistics from it, then record the file
-    // in a `Checkpoint`, refresh its snapshot and `save_atomic` it (encode,
-    // seal, write, fsync, rename) — and finally classify from the
-    // accumulator.
+    // columnar store, fold it into the checkpoint's statistics state,
+    // record the file and `save_atomic` the checkpoint (encode, seal,
+    // write, fsync, rename) — and finally classify from that state.
     let files: Vec<_> = observations
         .chunks(observations.len().div_ceil(8))
         .collect();
@@ -98,11 +96,10 @@ fn bench_pipeline(c: &mut Criterion) {
     std::fs::create_dir_all(&ckpt_dir).expect("create bench checkpoint dir");
     let ckpt_path = ckpt_dir.join("run.ckpt");
     let checkpointed_run = || {
-        let mut acc = StatsAccumulator::new();
         let mut checkpoint = Checkpoint::new();
         for (i, file) in files.iter().enumerate() {
             let store = bgp_types::store::ObservationStore::from_observations(file);
-            acc.ingest_store(&store, &scenario.siblings, 0);
+            checkpoint.snapshot.ingest_store(&store, &scenario.siblings);
             checkpoint.files.push(CompletedFile {
                 path: format!("updates.{i:02}.mrt"),
                 fingerprint: FileFingerprint {
@@ -111,13 +108,12 @@ fn bench_pipeline(c: &mut Criterion) {
                 },
             });
             checkpoint.report.records_read += file.len() as u64;
-            checkpoint.snapshot = acc.snapshot().clone();
             checkpoint
                 .save_atomic(&ckpt_path)
                 .expect("write bench checkpoint");
         }
         run_inference_from_stats(
-            acc.to_stats(),
+            checkpoint.snapshot.to_stats(),
             &scenario.siblings,
             &par,
             Some(&scenario.dict),

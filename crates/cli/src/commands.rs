@@ -744,7 +744,10 @@ fn infer_checkpointed(
         }
     }
 
-    let mut accumulator = StatsAccumulator::from_snapshot(&checkpoint.snapshot);
+    // The state holds no on-path decisions: every file, whichever run
+    // folded it, is counted under this run's sibling map.
+    checkpoint.snapshot =
+        StatsAccumulator::from_snapshot(std::mem::take(&mut checkpoint.snapshot), siblings);
     let mut merged = checkpoint.report.clone();
     let mut aborted: Option<String> = None;
     let mut committed_this_run = 0u64;
@@ -792,10 +795,9 @@ fn infer_checkpointed(
                 }
                 (None, Ok(fp)) => fp,
             };
-            accumulator.ingest_store(&file.store, siblings, opts.threads);
+            checkpoint.snapshot.ingest_store(&file.store, siblings);
             checkpoint.files.push(CompletedFile { path, fingerprint });
             checkpoint.report.merge(&file.report);
-            checkpoint.snapshot = accumulator.snapshot().clone();
             tel.stage("checkpoint_write", || checkpoint.save_atomic(&ckpt.path))
                 .map_err(|e| format!("write checkpoint {}: {e}", ckpt.path.display()))?;
             if let Some(metrics) = tel.registry() {
@@ -822,7 +824,7 @@ fn infer_checkpointed(
         ));
     }
     Ok(run_inference_from_stats_telemetry(
-        accumulator.to_stats(),
+        checkpoint.snapshot.to_stats(),
         siblings,
         cfg,
         dict,
@@ -1050,7 +1052,6 @@ pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
     beat(0);
 
     let mut manifest = Checkpoint::new();
-    let mut accumulator = StatsAccumulator::new();
     let tel = Telemetry::disabled();
     for (i, path) in paths.iter().enumerate() {
         // Fingerprint before decoding, like the checkpointed path: the
@@ -1081,7 +1082,7 @@ pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
                 format!("ingestion aborted: {path}: {why}"),
             ));
         }
-        accumulator.ingest_store(&file.store, &siblings, opts.threads);
+        manifest.snapshot.ingest_store(&file.store, &siblings);
         manifest.files.push(CompletedFile {
             path: path.clone(),
             fingerprint,
@@ -1101,7 +1102,6 @@ pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
             }
         }
     }
-    manifest.snapshot = accumulator.snapshot().clone();
     manifest
         .save_atomic(&out)
         .map_err(|e| format!("write artifact {}: {e}", out.display()))?;
@@ -1282,12 +1282,12 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             &SHUTDOWN,
         );
 
-        // Merge in shard order. The per-shard snapshots hold content-based
-        // fingerprint sets, so this union is exact and the classification
-        // downstream is bit-identical to a single-process run over the
-        // covered files.
+        // Merge in shard order. The per-shard states hold the interned
+        // paths and unique tuples themselves, so this union is exact and
+        // the classification downstream is bit-identical to a
+        // single-process run over the covered files.
         let mut merged = IngestReport::default();
-        let mut accumulator = StatsAccumulator::new();
+        let mut accumulator = StatsAccumulator::from_snapshot(StatsAccumulator::new(), &siblings);
         let mut failed = 0u64;
         let mut reused = 0u64;
         let mut retries_total = 0u64;
@@ -1298,7 +1298,7 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             match &outcome.artifact {
                 Some(artifact) => {
                     merged.merge(&artifact.report);
-                    accumulator.merge(StatsAccumulator::from_snapshot(&artifact.snapshot));
+                    accumulator.merge(&artifact.snapshot);
                     covered_files += spec.files.len() as u64;
                 }
                 None => {

@@ -1,22 +1,21 @@
-//! Crash-safe incremental runs: content-based statistics accumulation and
+//! Crash-safe incremental runs: an exact, mergeable statistics state and
 //! an atomic checkpoint manifest.
 //!
 //! Long supervised runs over hundreds of archives must survive a crash —
 //! OOM kill, power loss, a poisoned worker — without redoing days of
 //! ingestion. The pieces here make that possible:
 //!
-//! * [`StatsAccumulator`] folds observations file-by-file into
-//!   *content-based* fingerprint sets whose union is exact and commutative,
-//!   so per-file partial results merge into the same [`PathStats`] a
-//!   single-shot reduction would produce (see "Why fingerprints" below).
-//! * [`StatsSnapshot`] is the accumulator's serializable form: vectors of
-//!   deterministically-ordered per-snapshot segments (fixed shard-major
-//!   ingest order), so the serialized bytes are identical at any thread
-//!   count for a given ingest sequence, and each per-file snapshot costs
-//!   only the file's new elements.
+//! * [`StatsAccumulator`] folds observations file-by-file into an exact
+//!   state: the interned AS paths and community sets it has seen (the
+//!   same [`Interner`] an [`ObservationStore`] uses) and the unique
+//!   `(path ID, cset ID)` tuples, in first-seen order. Its
+//!   [`to_stats`](StatsAccumulator::to_stats) runs the batch statistics
+//!   kernel over those tuples, so per-file states merge into the same
+//!   [`PathStats`] a single-shot reduction produces — batch, checkpoint,
+//!   shard and watch share one stats engine (see "Why interned tuples").
 //! * [`Checkpoint`] records which input files completed (with a
 //!   byte-length + FNV-1a fingerprint each, via [`fingerprint_file`]), the
-//!   ingest accounting so far, and the snapshot. [`Checkpoint::save_atomic`]
+//!   ingest accounting so far, and the accumulator. [`Checkpoint::save_atomic`]
 //!   writes temp-file-then-rename so a crash mid-write leaves the previous
 //!   checkpoint intact, never a torn one.
 //!
@@ -32,32 +31,45 @@
 //! seal       u64 LE    FNV-1a 64 over the whole file, this slot zeroed
 //! header_len u64 LE
 //! header     [u8; header_len]   compact JSON: every small field
-//! columns    one block per StatsSnapshot, in a fixed order:
-//!   n_paths, n_tuples, n_asns, n_communities   u64 LE each
-//!   paths [u64 LE; n_paths]   tuples [u64 LE; n_tuples]
-//!   seen_asns [u32 LE; n_asns]
-//!   per community: asn u16 LE, value u16 LE, n_on u64 LE, n_off u64 LE,
-//!                  on [u64 LE; n_on], off [u64 LE; n_off]
+//! columns    one block per StatsAccumulator, in a fixed order:
+//!   n_paths, n_segs, n_asns, n_csets, n_communities, n_tuples   u64 LE each
+//!   path_seg_ends [u32 LE; n_paths]   each path's end offset into segs
+//!   path_asn_ends [u32 LE; n_paths]   each path's end offset into asns
+//!   segs   per segment: tag u8, ASN count u32 LE
+//!   asns   [u32 LE; n_asns]
+//!   cset_ends [u32 LE; n_csets]       each set's end offset into communities
+//!   communities [u32 LE; n_communities]   asn << 16 | value
+//!   tuples per tuple: path ID u32 LE, cset ID u32 LE
 //! ```
 //!
-//! The fingerprint columns are raw little-endian words rather than JSON
-//! numbers, so encoding is a copy and the file is well under half the
-//! size of a decimal rendering. The loader checks, in order: magic,
-//! schema, seal, header, then each column, testing every recorded length
-//! against the bytes that remain before allocating for it, and refuses
-//! trailing bytes. A JSON manifest from an older build (it starts with
-//! `{`) is refused as [`CheckpointLoadError::LegacyJson`].
+//! The columns are the interner's own flat pools, written in ID order, so
+//! encoding is a copy. The loader checks, in order: magic, schema, seal,
+//! header, then each column block, testing every recorded length against
+//! the bytes that remain before allocating for it, and refuses trailing
+//! bytes. Within a block it refuses offsets that decrease or do not end at
+//! their pool's length, unknown segment tags, segment counts that do not
+//! sum to their path's ASN count, duplicate paths, sets or tuples, tuple
+//! IDs out of range, and paths or sets no tuple uses — so a loaded state
+//! is always one some sequence of folds could have built. A JSON manifest
+//! from an older build (it starts with `{`) is refused as
+//! [`CheckpointLoadError::LegacyJson`].
 //!
-//! # Why fingerprints
+//! # Why interned tuples
 //!
 //! [`PathStats`] merging by summing counts is only exact when every
 //! occurrence of an AS path lands in the same shard (the invariant of the
 //! hash-sharded parallel reduction). Per-*file* partials violate it: the
 //! same path appears in many files, and summing would double-count unique
-//! paths. Sets of path/tuple fingerprints union exactly instead — a path
-//! seen in ten files is one fingerprint — at the cost of a 64-bit hash
-//! collision being (silently, astronomically rarely) able to collapse two
-//! distinct paths.
+//! paths. The accumulator keeps the paths themselves instead: merging
+//! re-interns the other state's unique paths and community sets, exactly
+//! (a fingerprint only picks the probe slot), remaps its tuples, and drops
+//! the ones already present. A path seen in ten files is one path, and
+//! two distinct paths are never one.
+//!
+//! The on-path test runs in [`to_stats`](StatsAccumulator::to_stats), not
+//! at fold time, so the stored state does not depend on the sibling map:
+//! a run resumed under a different `--siblings` counts every file under
+//! the map it was given.
 
 use std::fmt;
 use std::fs::File;
@@ -66,133 +78,69 @@ use std::path::{Path, PathBuf};
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
+use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
 use bgp_types::durable::{fnv1a, write_atomic, FNV_OFFSET};
-use bgp_types::fx::{fx_hash_one, FxHashMap, FxHashSet};
-use bgp_types::par::{effective_threads, par_map_indexed};
-use bgp_types::store::ObservationStore;
-use bgp_types::{AsPath, Asn, Community, Observation};
+use bgp_types::fx::FxHashSet;
+use bgp_types::store::{Interner, ObservationStore};
+use bgp_types::{AsPathView, Community, Observation};
 use serde::{Deserialize, Serialize};
 
-use crate::stats::{OnPathIndex, PathCounts, PathStats};
+use crate::stats::PathStats;
 
 /// Version stamp inside every checkpoint file; bump on layout changes so a
 /// resume against an incompatible manifest refuses instead of misreading.
 /// Schema 2 added the mandatory payload `checksum`; schema 3 replaced the
-/// JSON manifest with the sealed binary envelope (see "On-disk format").
-pub const CHECKPOINT_SCHEMA: u32 = 3;
+/// JSON manifest with the sealed binary envelope; schema 4 replaced the
+/// fingerprint columns with the interned paths, community sets and tuple
+/// column (see "On-disk format").
+pub const CHECKPOINT_SCHEMA: u32 = 4;
 
-/// Content fingerprint of one AS path.
-pub fn path_fingerprint(path: &AsPath) -> u64 {
-    fx_hash_one(path)
-}
-
-/// Content fingerprint of one `(AS path, communities)` tuple, built from
-/// the path's [`path_fingerprint`] so the path bytes are hashed only once
-/// per observation.
-pub fn tuple_fingerprint(path_fp: u64, communities: &[Community]) -> u64 {
-    fx_hash_one(&(path_fp, communities))
-}
-
-/// Incrementally built path statistics, mergeable across files.
+/// Incrementally built path statistics: exact, and mergeable across files.
 ///
-/// Feed it observations in any grouping and any order ([`ingest`] per file,
-/// [`merge`] across partial accumulators); [`to_stats`] yields the same
-/// [`PathStats`] as a one-shot [`PathStats::from_observations`] over the
-/// concatenated input.
+/// Feed it observations in any grouping and any order
+/// ([`ingest_ordered`] or [`ingest_store`] per file, [`merge`] across
+/// partial accumulators); [`to_stats`] yields the same [`PathStats`] as a
+/// one-shot [`PathStats::from_observations`] over the concatenated input.
+/// The state itself — and so its checkpoint bytes — depends only on the
+/// sequence of observations folded in: IDs and tuples are in first-seen
+/// order.
 ///
-/// [`ingest`]: StatsAccumulator::ingest
+/// The on-path test runs in [`to_stats`] under the sibling map the
+/// accumulator holds: the one [`from_snapshot`] was given, or else the
+/// first one an ingest call (or a merged-in accumulator) brought. A run
+/// uses one map throughout; a later call with a different map does not
+/// replace it.
+///
+/// [`ingest_ordered`]: StatsAccumulator::ingest_ordered
+/// [`ingest_store`]: StatsAccumulator::ingest_store
 /// [`merge`]: StatsAccumulator::merge
 /// [`to_stats`]: StatsAccumulator::to_stats
+/// [`from_snapshot`]: StatsAccumulator::from_snapshot
 #[derive(Debug, Clone, Default)]
 pub struct StatsAccumulator {
-    /// Fingerprints of every unique AS path seen.
-    paths: FxHashSet<u64>,
-    /// Fingerprints of every unique `(path, communities)` tuple.
-    tuples: FxHashSet<u64>,
-    /// Every ASN appearing in any path.
-    seen_asns: FxHashSet<Asn>,
-    /// Per community: fingerprints of the unique paths it rode with its
-    /// owner (or a sibling) on-path, plus their undrained snapshot delta.
-    on: FxHashMap<Community, CommunitySet>,
-    /// Per community: fingerprints of the unique paths it rode off-path,
-    /// plus their undrained snapshot delta.
-    off: FxHashMap<Community, CommunitySet>,
-    /// The serialized form as of the last [`snapshot`](Self::snapshot)
-    /// call, extended in place from the deltas below. Re-materializing the
-    /// full state on every per-file checkpoint would be O(everything
-    /// accumulated so far) per file — that is what would blow the <3%
-    /// overhead budget — so each snapshot only appends the newly-inserted
-    /// elements as one deterministically-ordered segment.
-    cache: StatsSnapshot,
-    /// Position of each community's entry in `cache.communities`, so a
-    /// snapshot drains deltas into their slots without searching.
-    community_slots: FxHashMap<Community, u32>,
-    /// Path fingerprints inserted since the last snapshot.
-    paths_delta: Vec<u64>,
-    /// Tuple fingerprints inserted since the last snapshot.
-    tuples_delta: Vec<u64>,
-    /// ASNs first seen since the last snapshot.
-    asns_delta: Vec<u32>,
+    /// Every AS path and community set folded in, by dense ID.
+    interner: Interner,
+    /// The unique `(path ID, cset ID)` tuples, in first-seen order.
+    tuples: Vec<(u32, u32)>,
+    /// `tuples` as packed keys, for dedup.
+    seen: FxHashSet<u64>,
+    /// The map [`to_stats`](Self::to_stats) runs the on-path test under.
+    siblings: Option<SiblingMap>,
 }
 
-/// One community's accumulated fingerprint set together with the
-/// insertion-ordered tail not yet drained into the snapshot cache — kept in
-/// one map value so the hot attribution path pays a single lookup.
-#[derive(Debug, Clone, Default)]
-struct CommunitySet {
-    set: FxHashSet<u64>,
-    delta: Vec<u64>,
-}
-
-/// Logical equality: the accumulated sets, ignoring snapshot-cache state
-/// (two equal accumulators may have taken snapshots at different times).
+/// Equal states: the same paths, community sets and tuples under the same
+/// IDs. The sibling map is the run's configuration, not state, and is not
+/// compared (a loaded checkpoint holds none).
 impl PartialEq for StatsAccumulator {
     fn eq(&self, other: &Self) -> bool {
-        fn sides_eq(
-            a: &FxHashMap<Community, CommunitySet>,
-            b: &FxHashMap<Community, CommunitySet>,
-        ) -> bool {
-            a.len() == b.len()
-                && a.iter()
-                    .all(|(c, s)| b.get(c).is_some_and(|t| s.set == t.set))
-        }
-        self.paths == other.paths
-            && self.tuples == other.tuples
-            && self.seen_asns == other.seen_asns
-            && sides_eq(&self.on, &other.on)
-            && sides_eq(&self.off, &other.off)
+        let (a, b) = (&self.interner, &other.interner);
+        self.tuples == other.tuples
+            && a.path_count() == b.path_count()
+            && a.cset_count() == b.cset_count()
+            && (0..a.path_count() as u32).all(|id| a.path_view(id) == b.path_view(id))
+            && (0..a.cset_count() as u32).all(|id| a.cset(id) == b.cset(id))
     }
 }
-
-/// The sequential fold over one shard's `(path fingerprint, observation)`
-/// pairs (the fingerprint is computed once, at partition time).
-fn accumulate_shard(shard: &[(u64, &Observation)], siblings: &SiblingMap) -> StatsAccumulator {
-    let mut acc = StatsAccumulator::default();
-    for &(pfp, obs) in shard {
-        acc.fold(pfp, obs, siblings);
-    }
-    acc
-}
-
-/// [`accumulate_shard`] over store rows: `(fingerprint, path ID, cset ID)`.
-fn accumulate_shard_store(
-    shard: &[(u64, u32, u32)],
-    store: &ObservationStore,
-    index: &OnPathIndex,
-) -> StatsAccumulator {
-    let mut acc = StatsAccumulator::default();
-    for &(pfp, path_id, cset_id) in shard {
-        acc.fold_store_row(pfp, path_id, cset_id, store, index);
-    }
-    acc
-}
-
-/// Number of fixed ingest shards. A constant — never the worker count — so
-/// the shard-major order in which new fingerprints reach the snapshot
-/// deltas is identical at any thread count. 64 keeps every core on a
-/// many-core host busy while the shards stay coarse enough to amortize
-/// per-shard accumulator setup.
-pub const INGEST_SHARDS: usize = 64;
 
 impl StatsAccumulator {
     /// An empty accumulator.
@@ -200,378 +148,89 @@ impl StatsAccumulator {
         Self::default()
     }
 
-    /// Fold one file's observations in, spreading the work over `threads`
-    /// workers (`0` = one per CPU). The result — including snapshot bytes —
-    /// is identical at any thread count: observations are sharded by path
-    /// fingerprint into [`INGEST_SHARDS`] fixed shards and folded in shard
-    /// order. Single-threaded, each shard folds straight into `self` (no
-    /// temporaries, no merge); multi-threaded, per-shard accumulators are
-    /// merged in shard order by their insertion-ordered deltas — first
-    /// occurrence filtered against `self` lands elements in the same order
-    /// either way, so neither the accumulated sets nor the delta order the
-    /// snapshot serializes depend on how many workers ran.
-    pub fn ingest(&mut self, observations: &[Observation], siblings: &SiblingMap, threads: usize) {
-        if observations.is_empty() {
-            return;
-        }
-        let threads = effective_threads(threads);
-        let mut shards: Vec<Vec<(u64, &Observation)>> =
-            (0..INGEST_SHARDS).map(|_| Vec::new()).collect();
-        for obs in observations {
-            let pfp = path_fingerprint(&obs.path);
-            shards[(pfp as usize) % INGEST_SHARDS].push((pfp, obs));
-        }
-        if threads <= 1 {
-            for shard in &shards {
-                for &(pfp, obs) in shard {
-                    self.fold(pfp, obs, siblings);
-                }
-            }
-        } else {
-            for part in par_map_indexed(INGEST_SHARDS, threads, |i| {
-                accumulate_shard(&shards[i], siblings)
-            }) {
-                self.merge(part);
-            }
+    /// `snapshot` (typically a loaded checkpoint's state) with the on-path
+    /// test set to run under `siblings` — the resume path. Whatever map
+    /// the state was folded under before does not matter: the state holds
+    /// no on-path decisions.
+    pub fn from_snapshot(snapshot: StatsAccumulator, siblings: &SiblingMap) -> Self {
+        StatsAccumulator {
+            siblings: Some(siblings.clone()),
+            ..snapshot
         }
     }
 
-    /// Fold observations one record at a time, in delivered order — the
-    /// streaming path. Unlike [`ingest`](Self::ingest) there is no
-    /// sharding pass and no per-call allocation: each record folds
-    /// straight into the accumulated sets as it arrives, so a daemon can
-    /// call this per decoded record (or per small batch) without setting
-    /// up [`INGEST_SHARDS`] vectors each time.
-    ///
-    /// The accumulated *sets* are identical to a batch [`ingest`] over the
-    /// same observations (set union is order-independent); the snapshot
-    /// *delta order* is the delivered order rather than shard-major order.
-    /// That is self-consistent across checkpoint/resume — a resumed daemon
-    /// re-folding from its cursor appends first-seen elements in the same
-    /// delivered order — but means streaming snapshot bytes are not
-    /// byte-comparable to batch snapshot bytes. Batch-parity checks
-    /// compare derived stats and labels, which depend only on the sets.
+    /// Fold observations in, in the order given.
     pub fn ingest_ordered(&mut self, observations: &[Observation], siblings: &SiblingMap) {
+        self.adopt(siblings);
         for obs in observations {
-            let pfp = path_fingerprint(&obs.path);
-            self.fold(pfp, obs, siblings);
+            let path = self.interner.intern_owned_path(&obs.path);
+            let cset = self.interner.intern_cset(&obs.communities);
+            self.insert(path, cset);
         }
     }
 
-    /// [`ingest`](Self::ingest) out of a columnar [`ObservationStore`] —
-    /// the path used when MRT decoding folded straight into a store. Path
-    /// fingerprints come from the store's interner (computed once per
-    /// *unique* path instead of once per observation); sharding, fold
-    /// order, accumulated sets, and snapshot bytes are all identical to
-    /// ingesting the equivalent observation slice.
-    pub fn ingest_store(
-        &mut self,
-        store: &ObservationStore,
-        siblings: &SiblingMap,
-        threads: usize,
-    ) {
-        if store.is_empty() {
-            return;
+    /// Fold a columnar [`ObservationStore`] in — the path used when MRT
+    /// decoding folded straight into a store. The store's unique paths and
+    /// community sets are re-interned once each, then its rows are folded
+    /// in order. The resulting state, IDs included, is the one
+    /// [`ingest_ordered`](Self::ingest_ordered) builds from the same
+    /// observations.
+    pub fn ingest_store(&mut self, store: &ObservationStore, siblings: &SiblingMap) {
+        self.adopt(siblings);
+        self.absorb(store.interner(), store.tuples());
+    }
+
+    /// Union another accumulator in: re-intern its unique paths and
+    /// community sets, remap its tuples, and keep the new ones. Merge order
+    /// changes IDs, never [`to_stats`](Self::to_stats).
+    pub fn merge(&mut self, other: &StatsAccumulator) {
+        if let Some(siblings) = &other.siblings {
+            self.adopt(siblings);
         }
-        let threads = effective_threads(threads);
-        let index = OnPathIndex::build(store, siblings);
-        let mut shards: Vec<Vec<(u64, u32, u32)>> =
-            (0..INGEST_SHARDS).map(|_| Vec::new()).collect();
-        for (path_id, cset_id) in store.tuples() {
-            let pfp = store.path_fingerprint(path_id);
-            shards[(pfp as usize) % INGEST_SHARDS].push((pfp, path_id, cset_id));
-        }
-        if threads <= 1 {
-            for shard in &shards {
-                for &(pfp, path_id, cset_id) in shard {
-                    self.fold_store_row(pfp, path_id, cset_id, store, &index);
-                }
-            }
-        } else {
-            for part in par_map_indexed(INGEST_SHARDS, threads, |i| {
-                accumulate_shard_store(&shards[i], store, &index)
-            }) {
-                self.merge(part);
-            }
+        self.absorb(&other.interner, other.tuples.iter().copied());
+    }
+
+    fn adopt(&mut self, siblings: &SiblingMap) {
+        if self.siblings.is_none() {
+            self.siblings = Some(siblings.clone());
         }
     }
 
-    /// Fold one observation into the accumulated sets, pushing every
-    /// first-seen element onto the matching snapshot delta.
-    fn fold(&mut self, pfp: u64, obs: &Observation, siblings: &SiblingMap) {
-        self.fold_parts(pfp, &obs.path, &obs.communities, siblings);
-    }
-
-    /// The fold itself, over the parts an observation contributes. The
-    /// columnar path ([`ingest_store`](Self::ingest_store)) runs the
-    /// byte-identical [`fold_store_row`](Self::fold_store_row) instead;
-    /// any change to the order of delta pushes here must be mirrored there.
-    fn fold_parts(
-        &mut self,
-        pfp: u64,
-        path: &AsPath,
-        communities: &[Community],
-        siblings: &SiblingMap,
-    ) {
-        if self.paths.insert(pfp) {
-            self.paths_delta.push(pfp);
-            for hop in path.iter() {
-                if self.seen_asns.insert(hop) {
-                    self.asns_delta.push(hop.value());
-                }
-            }
-        }
-        let tfp = tuple_fingerprint(pfp, communities);
-        if !self.tuples.insert(tfp) {
-            return; // duplicate tuple: nothing new to attribute
-        }
-        self.tuples_delta.push(tfp);
-        for &c in communities {
-            // On-path iff the owner (or a sibling) appears in the path — a
-            // pure function of (community, path), so unioning per-file sets
-            // can never disagree about which side a fingerprint goes to.
-            let on = siblings.is_on_path(Asn::new(c.asn as u32), path);
-            let side = if on { &mut self.on } else { &mut self.off };
-            let entry = side.entry(c).or_default();
-            if entry.set.insert(pfp) {
-                entry.delta.push(pfp);
-            }
+    fn absorb(&mut self, interner: &Interner, tuples: impl Iterator<Item = (u32, u32)>) {
+        let (paths, csets) = self.interner.remap(interner);
+        for (path, cset) in tuples {
+            self.insert(paths[path as usize], csets[cset as usize]);
         }
     }
 
-    /// [`fold_parts`](Self::fold_parts) over an interned store row. Same
-    /// operations in the same order — hops walked in path order, then one
-    /// on/off attribution per community in list order — with the on-path
-    /// test served by the precomputed [`OnPathIndex`] (a pure function of
-    /// (community, path) either way), so accumulated sets, delta order,
-    /// and hence snapshot bytes match the slice fold exactly.
-    fn fold_store_row(
-        &mut self,
-        pfp: u64,
-        path_id: u32,
-        cset_id: u32,
-        store: &ObservationStore,
-        index: &OnPathIndex,
-    ) {
-        if self.paths.insert(pfp) {
-            self.paths_delta.push(pfp);
-            for &hop in store.path_hops(path_id) {
-                if self.seen_asns.insert(Asn::new(hop)) {
-                    self.asns_delta.push(hop);
-                }
-            }
-        }
-        let communities = store.cset(cset_id);
-        let tfp = tuple_fingerprint(pfp, communities);
-        if !self.tuples.insert(tfp) {
-            return; // duplicate tuple: nothing new to attribute
-        }
-        self.tuples_delta.push(tfp);
-        for (&c, &slot) in communities.iter().zip(store.cset_slots(cset_id)) {
-            let on = index.on_path(store, path_id, slot);
-            let side = if on { &mut self.on } else { &mut self.off };
-            let entry = side.entry(c).or_default();
-            if entry.set.insert(pfp) {
-                entry.delta.push(pfp);
-            }
+    fn insert(&mut self, path: u32, cset: u32) {
+        if self.seen.insert((u64::from(path) << 32) | u64::from(cset)) {
+            self.tuples.push((path, cset));
         }
     }
 
-    /// Union another accumulator in. Set union is commutative and
-    /// idempotent per element, so merge order never changes the resulting
-    /// *sets*; elements are visited in `other`'s insertion order (its
-    /// snapshot cache, then its live deltas) so the delta order pushed onto
-    /// `self` matches what a direct [`fold`](Self::fold) of the same
-    /// observations would have produced.
-    pub fn merge(&mut self, other: StatsAccumulator) {
-        for &p in other.cache.paths.iter().chain(&other.paths_delta) {
-            if self.paths.insert(p) {
-                self.paths_delta.push(p);
-            }
-        }
-        for &t in other.cache.tuples.iter().chain(&other.tuples_delta) {
-            if self.tuples.insert(t) {
-                self.tuples_delta.push(t);
-            }
-        }
-        for &a in other.cache.seen_asns.iter().chain(&other.asns_delta) {
-            if self.seen_asns.insert(Asn::new(a)) {
-                self.asns_delta.push(a);
-            }
-        }
-        // Per-community fingerprints: cache segments first (older), then
-        // the live deltas, so within-community order stays chronological.
-        for c in &other.cache.communities {
-            let key = Community::new(c.asn, c.value);
-            if !c.on.is_empty() {
-                let mine = self.on.entry(key).or_default();
-                for &f in &c.on {
-                    if mine.set.insert(f) {
-                        mine.delta.push(f);
-                    }
-                }
-            }
-            if !c.off.is_empty() {
-                let mine = self.off.entry(key).or_default();
-                for &f in &c.off {
-                    if mine.set.insert(f) {
-                        mine.delta.push(f);
-                    }
-                }
-            }
-        }
-        for (c, s) in other.on {
-            let mine = self.on.entry(c).or_default();
-            for f in s.delta {
-                if mine.set.insert(f) {
-                    mine.delta.push(f);
-                }
-            }
-        }
-        for (c, s) in other.off {
-            let mine = self.off.entry(c).or_default();
-            for f in s.delta {
-                if mine.set.insert(f) {
-                    mine.delta.push(f);
-                }
-            }
+    /// The same state without the sibling map — what a checkpoint stores.
+    pub(crate) fn detached(&self) -> Self {
+        StatsAccumulator {
+            interner: self.interner.clone(),
+            tuples: self.tuples.clone(),
+            seen: self.seen.clone(),
+            siblings: None,
         }
     }
 
-    /// Collapse to the [`PathStats`] the classifier consumes.
+    /// Collapse to the [`PathStats`] the classifier consumes, with the
+    /// on-path test under the accumulator's sibling map (none: no
+    /// siblings).
     pub fn to_stats(&self) -> PathStats {
-        let mut per_community: FxHashMap<Community, PathCounts> = FxHashMap::default();
-        for (&c, s) in &self.on {
-            per_community.entry(c).or_default().on = s.set.len() as u32;
-        }
-        for (&c, s) in &self.off {
-            per_community.entry(c).or_default().off = s.set.len() as u32;
-        }
-        PathStats {
-            per_community,
-            seen_asns: self.seen_asns.clone(),
-            unique_tuples: self.tuples.len(),
-            unique_paths: self.paths.len(),
-        }
+        self.stats_under(self.siblings.as_ref().unwrap_or(&SiblingMap::default()))
     }
 
-    /// The serializable form. Deterministic for a given ingest sequence:
-    /// every vector is a concatenation of per-snapshot segments, each in
-    /// the fixed shard-major order [`ingest`](Self::ingest) guarantees, so
-    /// the bytes are identical at any thread count — and a resumed run,
-    /// which replays the same files in the same order with the same
-    /// snapshot cadence, reproduces them exactly. (Two accumulators
-    /// holding equal *sets* but fed in different groupings or snapshotted
-    /// at different points serialize differently;
-    /// [`to_stats`](Self::to_stats) is identical either way.)
-    ///
-    /// Cost is O(elements inserted since the last call) — pure appends, no
-    /// re-sort of everything accumulated — the property that keeps
-    /// per-file checkpointing within its overhead budget. The returned
-    /// borrow is valid until the next `ingest`/`merge`; clone it to
-    /// persist.
-    pub fn snapshot(&mut self) -> &StatsSnapshot {
-        self.cache.paths.append(&mut self.paths_delta);
-        self.cache.tuples.append(&mut self.tuples_delta);
-        self.cache.seen_asns.append(&mut self.asns_delta);
-        // Sort the touched communities so slot assignment for first-time
-        // communities never depends on map iteration order: new entries are
-        // appended `(asn, value)`-sorted within each snapshot's batch.
-        let mut touched: Vec<Community> = self
-            .on
-            .iter()
-            .chain(self.off.iter())
-            .filter(|(_, s)| !s.delta.is_empty())
-            .map(|(&c, _)| c)
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for c in touched {
-            let i = *self.community_slots.entry(c).or_insert_with(|| {
-                self.cache.communities.push(SnapshotCommunity {
-                    asn: c.asn,
-                    value: c.value,
-                    on: Vec::new(),
-                    off: Vec::new(),
-                });
-                (self.cache.communities.len() - 1) as u32
-            }) as usize;
-            let slot = &mut self.cache.communities[i];
-            if let Some(s) = self.on.get_mut(&c) {
-                slot.on.append(&mut s.delta);
-            }
-            if let Some(s) = self.off.get_mut(&c) {
-                slot.off.append(&mut s.delta);
-            }
-        }
-        &self.cache
+    /// [`to_stats`](Self::to_stats) under an explicit sibling map: the
+    /// batch kernel over the unique tuples.
+    pub(crate) fn stats_under(&self, siblings: &SiblingMap) -> PathStats {
+        PathStats::from_tuples(&self.interner, || self.tuples.iter().copied(), siblings, 1)
     }
-
-    /// Rebuild from a snapshot (the resume path).
-    pub fn from_snapshot(snapshot: &StatsSnapshot) -> Self {
-        let mut acc = StatsAccumulator {
-            paths: snapshot.paths.iter().copied().collect(),
-            tuples: snapshot.tuples.iter().copied().collect(),
-            seen_asns: snapshot.seen_asns.iter().map(|&a| Asn::new(a)).collect(),
-            cache: snapshot.clone(),
-            ..StatsAccumulator::default()
-        };
-        for (i, c) in snapshot.communities.iter().enumerate() {
-            let key = Community::new(c.asn, c.value);
-            acc.community_slots.insert(key, i as u32);
-            if !c.on.is_empty() {
-                acc.on.insert(
-                    key,
-                    CommunitySet {
-                        set: c.on.iter().copied().collect(),
-                        delta: Vec::new(),
-                    },
-                );
-            }
-            if !c.off.is_empty() {
-                acc.off.insert(
-                    key,
-                    CommunitySet {
-                        set: c.off.iter().copied().collect(),
-                        delta: Vec::new(),
-                    },
-                );
-            }
-        }
-        acc
-    }
-}
-
-/// One community's fingerprint sets in a [`StatsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotCommunity {
-    /// The owner ASN (`α`).
-    pub asn: u16,
-    /// The community value (`β`).
-    pub value: u16,
-    /// Unique on-path fingerprints, in deterministic per-snapshot segments.
-    pub on: Vec<u64>,
-    /// Unique off-path fingerprints, in deterministic per-snapshot segments.
-    pub off: Vec<u64>,
-}
-
-/// Serialized [`StatsAccumulator`]: content-based and independent of
-/// interner state or thread count. Vectors hold unique elements as a
-/// concatenation of deterministically-ordered segments, one per [`StatsAccumulator::snapshot`]
-/// call — see there for the exact determinism contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct StatsSnapshot {
-    /// Unique-path fingerprints, in deterministic per-snapshot segments.
-    pub paths: Vec<u64>,
-    /// Unique-tuple fingerprints, in deterministic per-snapshot segments.
-    pub tuples: Vec<u64>,
-    /// ASNs seen in any path, in deterministic per-snapshot segments.
-    pub seen_asns: Vec<u32>,
-    /// Per-community fingerprint sets, ordered by first snapshot
-    /// appearance (`(asn, value)`-sorted within each snapshot's batch of
-    /// new communities — a deterministic order for a given ingest
-    /// sequence, like everything else here).
-    pub communities: Vec<SnapshotCommunity>,
 }
 
 /// Byte length + FNV-1a 64 hash of a file's contents.
@@ -721,7 +380,7 @@ impl From<CheckpointLoadError> for io::Error {
 }
 
 /// The crash-safe run manifest: which files are done, the accounting so
-/// far, and the statistics snapshot to resume from.
+/// far, and the statistics state to resume from.
 ///
 /// On disk it is the sealed binary envelope (module docs, "On-disk
 /// format"): the small fields travel in the JSON header, `snapshot` as
@@ -745,10 +404,11 @@ pub struct Checkpoint {
     pub files: Vec<CompletedFile>,
     /// Merged ingest accounting over the completed files.
     pub report: IngestReport,
-    /// The statistics accumulated over the completed files (the column
-    /// block).
+    /// The statistics state over the completed files (the column block).
+    /// A loaded checkpoint's state holds no sibling map; resume it with
+    /// [`StatsAccumulator::from_snapshot`].
     #[serde(skip)]
-    pub snapshot: StatsSnapshot,
+    pub snapshot: StatsAccumulator,
 }
 
 impl Default for Checkpoint {
@@ -758,7 +418,7 @@ impl Default for Checkpoint {
             checksum: 0,
             files: Vec::new(),
             report: IngestReport::default(),
-            snapshot: StatsSnapshot::default(),
+            snapshot: StatsAccumulator::default(),
         }
     }
 }
@@ -813,11 +473,11 @@ impl Sealed for Checkpoint {
         self.checksum = checksum;
     }
 
-    fn columns(&self) -> Vec<&StatsSnapshot> {
+    fn columns(&self) -> Vec<&StatsAccumulator> {
         vec![&self.snapshot]
     }
 
-    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot> {
+    fn columns_mut(&mut self) -> Vec<&mut StatsAccumulator> {
         vec![&mut self.snapshot]
     }
 }
@@ -837,32 +497,56 @@ pub(crate) trait Sealed: Serialize + for<'de> Deserialize<'de> {
     /// Store the prelude's schema and seal into a freshly loaded value.
     fn set_prelude(&mut self, schema: u32, checksum: u64);
     /// The column blocks, in file order.
-    fn columns(&self) -> Vec<&StatsSnapshot>;
+    fn columns(&self) -> Vec<&StatsAccumulator>;
     /// Slots for the column blocks, in file order, once the header has
     /// been parsed (it fixes how many there are).
-    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot>;
+    fn columns_mut(&mut self) -> Vec<&mut StatsAccumulator>;
 }
 
 const SCHEMA_AT: usize = 8;
 const SEAL_AT: usize = 12;
 const HEADER_LEN_AT: usize = 20;
 const PRELUDE_LEN: usize = 28;
-/// Smallest per-community record: asn, value and the two lengths.
-const COMMUNITY_MIN: usize = 2 + 2 + 8 + 8;
+/// Bytes per encoded segment: tag u8, ASN count u32.
+const SEG_LEN: usize = 5;
 
-fn column_len(s: &StatsSnapshot) -> usize {
-    4 * 8
-        + 8 * (s.paths.len() + s.tuples.len())
-        + 4 * s.seen_asns.len()
-        + s.communities
-            .iter()
-            .map(|c| COMMUNITY_MIN + 8 * (c.on.len() + c.off.len()))
-            .sum::<usize>()
+/// Element counts of one column block, in header order.
+struct BlockCounts {
+    paths: usize,
+    segs: usize,
+    asns: usize,
+    csets: usize,
+    communities: usize,
+    tuples: usize,
 }
 
-fn put_u64s(buf: &mut Vec<u8>, words: &[u64]) {
-    for w in words {
-        buf.extend_from_slice(&w.to_le_bytes());
+impl BlockCounts {
+    fn of(acc: &StatsAccumulator) -> Self {
+        let it = &acc.interner;
+        let (mut segs, mut asns) = (0, 0);
+        for id in 0..it.path_count() as u32 {
+            let path = it.path_view(id);
+            segs += path.segs.len();
+            asns += path.asns.len();
+        }
+        BlockCounts {
+            paths: it.path_count(),
+            segs,
+            asns,
+            csets: it.cset_count(),
+            communities: (0..it.cset_count() as u32)
+                .map(|id| it.cset(id).len())
+                .sum(),
+            tuples: acc.tuples.len(),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        6 * 8
+            + 2 * 4 * self.paths
+            + SEG_LEN * self.segs
+            + 4 * (self.asns + self.csets + self.communities)
+            + 8 * self.tuples
     }
 }
 
@@ -870,27 +554,51 @@ fn put_len(buf: &mut Vec<u8>, n: usize) {
     buf.extend_from_slice(&(n as u64).to_le_bytes());
 }
 
-fn encode_column(s: &StatsSnapshot, buf: &mut Vec<u8>) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Write each item's running end offset, `len(item)` summed.
+fn put_ends(buf: &mut Vec<u8>, lens: impl Iterator<Item = usize>) {
+    let mut end = 0;
+    for len in lens {
+        end += len;
+        put_u32(buf, end as u32);
+    }
+}
+
+fn encode_column(acc: &StatsAccumulator, counts: &BlockCounts, buf: &mut Vec<u8>) {
+    let it = &acc.interner;
     for n in [
-        s.paths.len(),
-        s.tuples.len(),
-        s.seen_asns.len(),
-        s.communities.len(),
+        counts.paths,
+        counts.segs,
+        counts.asns,
+        counts.csets,
+        counts.communities,
+        counts.tuples,
     ] {
         put_len(buf, n);
     }
-    put_u64s(buf, &s.paths);
-    put_u64s(buf, &s.tuples);
-    for a in &s.seen_asns {
-        buf.extend_from_slice(&a.to_le_bytes());
+    let paths = || (0..it.path_count() as u32).map(|id| it.path_view(id));
+    let csets = || (0..it.cset_count() as u32).map(|id| it.cset(id));
+    put_ends(buf, paths().map(|p| p.segs.len()));
+    put_ends(buf, paths().map(|p| p.asns.len()));
+    for path in paths() {
+        for &(tag, len) in path.segs {
+            buf.push(tag);
+            put_u32(buf, len);
+        }
     }
-    for c in &s.communities {
-        buf.extend_from_slice(&c.asn.to_le_bytes());
-        buf.extend_from_slice(&c.value.to_le_bytes());
-        put_len(buf, c.on.len());
-        put_len(buf, c.off.len());
-        put_u64s(buf, &c.on);
-        put_u64s(buf, &c.off);
+    for path in paths() {
+        path.asns.iter().for_each(|&a| put_u32(buf, a));
+    }
+    put_ends(buf, csets().map(<[Community]>::len));
+    for cset in csets() {
+        cset.iter().for_each(|c| put_u32(buf, c.to_u32()));
+    }
+    for &(path, cset) in &acc.tuples {
+        put_u32(buf, path);
+        put_u32(buf, cset);
     }
 }
 
@@ -898,16 +606,21 @@ fn encode_column(s: &StatsSnapshot, buf: &mut Vec<u8>) {
 /// pass, one allocation sized up front, then the seal.
 pub(crate) fn encode_sealed<T: Sealed>(value: &T) -> Vec<u8> {
     let header = serde_json::to_string(value).expect("in-memory checkpoint header serializes");
-    let columns = value.columns();
-    let len = PRELUDE_LEN + header.len() + columns.iter().map(|s| column_len(s)).sum::<usize>();
+    let columns: Vec<_> = value
+        .columns()
+        .into_iter()
+        .map(|acc| (acc, BlockCounts::of(acc)))
+        .collect();
+    let len =
+        PRELUDE_LEN + header.len() + columns.iter().map(|(_, n)| n.encoded_len()).sum::<usize>();
     let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&T::MAGIC);
     buf.extend_from_slice(&value.schema().to_le_bytes());
     buf.extend_from_slice(&0u64.to_le_bytes());
     put_len(&mut buf, header.len());
     buf.extend_from_slice(header.as_bytes());
-    for s in columns {
-        encode_column(s, &mut buf);
+    for (acc, counts) in &columns {
+        encode_column(acc, counts, &mut buf);
     }
     debug_assert_eq!(buf.len(), len);
     let seal = fnv1a(FNV_OFFSET, &buf);
@@ -949,11 +662,6 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16, String> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     fn u64(&mut self, what: &str) -> Result<u64, String> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes taken")))
@@ -978,48 +686,114 @@ impl<'a> Cursor<'a> {
         self.take(n * width, what)
     }
 
-    /// `count` little-endian `u64`s.
-    fn u64s(&mut self, count: u64, what: &str) -> Result<Vec<u64>, String> {
+    /// `count` little-endian `u32`s.
+    fn u32s(&mut self, count: u64, what: &str) -> Result<Vec<u32>, String> {
         Ok(self
-            .array(count, 8, what)?
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .array(count, 4, what)?
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
             .collect())
     }
 }
 
-fn decode_column(r: &mut Cursor<'_>) -> Result<StatsSnapshot, String> {
-    let n_paths = r.u64("path count")?;
-    let n_tuples = r.u64("tuple count")?;
-    let n_asns = r.u64("ASN count")?;
-    let n_communities = r.u64("community count")?;
-    let paths = r.u64s(n_paths, "paths")?;
-    let tuples = r.u64s(n_tuples, "tuples")?;
-    let seen_asns = r
-        .array(n_asns, 4, "seen_asns")?
-        .chunks_exact(4)
-        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
-        .collect();
-    let mut communities =
-        Vec::with_capacity(r.fits(n_communities, COMMUNITY_MIN, "communities")?);
-    for _ in 0..n_communities {
-        let asn = r.u16("community asn")?;
-        let value = r.u16("community value")?;
-        let n_on = r.u64("on-path count")?;
-        let n_off = r.u64("off-path count")?;
-        communities.push(SnapshotCommunity {
-            asn,
-            value,
-            on: r.u64s(n_on, "on-path")?,
-            off: r.u64s(n_off, "off-path")?,
-        });
+/// Refuse end offsets that decrease or do not end at `pool` (an empty
+/// list must have an empty pool).
+fn check_ends(ends: &[u32], pool: usize, what: &str) -> Result<(), String> {
+    let monotone = ends.windows(2).all(|w| w[0] <= w[1]);
+    if !monotone || ends.last().map_or(0, |&e| e as usize) != pool {
+        return Err(format!(
+            "{what} offsets are not non-decreasing up to the pool length {pool}"
+        ));
     }
-    Ok(StatsSnapshot {
-        paths,
-        tuples,
-        seen_asns,
-        communities,
-    })
+    Ok(())
+}
+
+/// `ends[i-1]..ends[i]` (with `ends[-1] = 0`).
+fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+    lo..ends[i] as usize
+}
+
+/// Decode and validate one column block, rebuilding the accumulator by
+/// re-interning its paths and community sets in ID order.
+fn decode_column(r: &mut Cursor<'_>) -> Result<StatsAccumulator, String> {
+    let n_paths = r.u64("path count")?;
+    let n_segs = r.u64("segment count")?;
+    let n_asns = r.u64("ASN count")?;
+    let n_csets = r.u64("community-set count")?;
+    let n_communities = r.u64("community count")?;
+    let n_tuples = r.u64("tuple count")?;
+    let seg_ends = r.u32s(n_paths, "path segment offsets")?;
+    let asn_ends = r.u32s(n_paths, "path ASN offsets")?;
+    let segs: Vec<(u8, u32)> = r
+        .array(n_segs, SEG_LEN, "segments")?
+        .chunks_exact(SEG_LEN)
+        .map(|b| (b[0], u32::from_le_bytes([b[1], b[2], b[3], b[4]])))
+        .collect();
+    let asns = r.u32s(n_asns, "ASNs")?;
+    let cset_ends = r.u32s(n_csets, "community-set offsets")?;
+    let communities: Vec<Community> = r
+        .u32s(n_communities, "communities")?
+        .into_iter()
+        .map(Community::from_u32)
+        .collect();
+    let tuples = r.array(n_tuples, 8, "tuples")?;
+
+    check_ends(&seg_ends, segs.len(), "path segment")?;
+    check_ends(&asn_ends, asns.len(), "path ASN")?;
+    check_ends(&cset_ends, communities.len(), "community-set")?;
+    if let Some(&(tag, _)) = segs
+        .iter()
+        .find(|(t, _)| *t != SEG_SET && *t != SEG_SEQUENCE)
+    {
+        return Err(format!("unknown segment tag {tag}"));
+    }
+    let mut acc = StatsAccumulator::new();
+    for id in 0..seg_ends.len() {
+        let path = AsPathView {
+            segs: &segs[span(&seg_ends, id)],
+            asns: &asns[span(&asn_ends, id)],
+        };
+        let sum: u64 = path.segs.iter().map(|&(_, n)| u64::from(n)).sum();
+        if sum != path.asns.len() as u64 {
+            return Err(format!(
+                "path {id}: segment counts sum to {sum}, its ASN offsets span {}",
+                path.asns.len()
+            ));
+        }
+        if acc.interner.intern_path(&path) as usize != id {
+            return Err(format!("path {id} repeats an earlier path"));
+        }
+    }
+    for id in 0..cset_ends.len() {
+        if acc.interner.intern_cset(&communities[span(&cset_ends, id)]) as usize != id {
+            return Err(format!("community set {id} repeats an earlier set"));
+        }
+    }
+    let (mut path_used, mut cset_used) =
+        (vec![false; seg_ends.len()], vec![false; cset_ends.len()]);
+    acc.tuples.reserve(tuples.len() / 8);
+    for (i, t) in tuples.chunks_exact(8).enumerate() {
+        let path = u32::from_le_bytes(t[..4].try_into().expect("4 bytes"));
+        let cset = u32::from_le_bytes(t[4..].try_into().expect("4 bytes"));
+        if path as usize >= path_used.len() || cset as usize >= cset_used.len() {
+            return Err(format!(
+                "tuple {i}: ({path}, {cset}) out of range ({} paths, {} community sets)",
+                path_used.len(),
+                cset_used.len()
+            ));
+        }
+        if !acc.seen.insert((u64::from(path) << 32) | u64::from(cset)) {
+            return Err(format!("tuple {i} repeats an earlier tuple"));
+        }
+        acc.tuples.push((path, cset));
+        path_used[path as usize] = true;
+        cset_used[cset as usize] = true;
+    }
+    if path_used.contains(&false) || cset_used.contains(&false) {
+        return Err("a path or community set belongs to no tuple".to_string());
+    }
+    Ok(acc)
 }
 
 /// Read and validate a sealed manifest, in order: magic, schema, seal,
@@ -1086,6 +860,7 @@ pub(crate) fn load_sealed<T: Sealed>(path: &Path) -> Result<T, CheckpointLoadErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::Asn;
 
     fn obs(vp: u32, path: &str, comms: &[(u16, u16)]) -> Observation {
         Observation {
@@ -1124,131 +899,88 @@ mod tests {
         let direct = PathStats::from_observations(&all, &siblings);
         // Ingest in three uneven "files"; paths recur across the splits.
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&all[..7], &siblings, 1);
-        acc.ingest(&all[7..40], &siblings, 1);
-        acc.ingest(&all[40..], &siblings, 1);
+        acc.ingest_ordered(&all[..7], &siblings);
+        acc.ingest_ordered(&all[7..40], &siblings);
+        acc.ingest_ordered(&all[40..], &siblings);
         assert_eq!(acc.to_stats(), direct);
-    }
-
-    #[test]
-    fn ingest_is_thread_count_invariant() {
-        let all = workload();
-        let siblings = SiblingMap::default();
-        let mut sequential = StatsAccumulator::new();
-        sequential.ingest(&all, &siblings, 1);
-        for threads in [2, 3, 8] {
-            let mut acc = StatsAccumulator::new();
-            acc.ingest(&all, &siblings, threads);
-            assert_eq!(acc, sequential, "threads = {threads}");
-            assert_eq!(acc.snapshot(), sequential.snapshot());
-        }
     }
 
     #[test]
     fn ingest_store_matches_ingest_bit_for_bit() {
         // The columnar fold must be indistinguishable from the slice fold:
-        // same sets, same delta order, same snapshot bytes — at any thread
-        // count, and across the same "file" boundaries.
+        // same IDs, same tuple order, and hence the same checkpoint bytes,
+        // across the same "file" boundaries.
         let all = workload();
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
         let mut via_slices = StatsAccumulator::new();
-        via_slices.ingest(&all[..11], &siblings, 1);
-        via_slices.ingest(&all[11..], &siblings, 1);
-        for threads in [1, 2, 8] {
-            let mut via_store = StatsAccumulator::new();
-            via_store.ingest_store(
-                &ObservationStore::from_observations(&all[..11]),
-                &siblings,
-                threads,
-            );
-            via_store.ingest_store(
-                &ObservationStore::from_observations(&all[11..]),
-                &siblings,
-                threads,
-            );
-            assert_eq!(via_store, via_slices, "threads = {threads}");
-            assert_eq!(via_store.to_stats(), via_slices.to_stats());
-            assert_eq!(
-                via_store.snapshot(),
-                via_slices.snapshot(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let all = workload();
-        let siblings = SiblingMap::default();
-        let parts: Vec<StatsAccumulator> = all
-            .chunks(13)
-            .map(|chunk| {
-                let mut acc = StatsAccumulator::new();
-                acc.ingest(chunk, &siblings, 1);
-                acc
+        via_slices.ingest_ordered(&all[..11], &siblings);
+        via_slices.ingest_ordered(&all[11..], &siblings);
+        let mut via_store = StatsAccumulator::new();
+        via_store.ingest_store(&ObservationStore::from_observations(&all[..11]), &siblings);
+        via_store.ingest_store(&ObservationStore::from_observations(&all[11..]), &siblings);
+        assert_eq!(via_store, via_slices);
+        assert_eq!(via_store.to_stats(), via_slices.to_stats());
+        let bytes = |acc: &StatsAccumulator| {
+            encode_sealed(&Checkpoint {
+                snapshot: acc.clone(),
+                ..Checkpoint::new()
             })
-            .collect();
-        let mut forward = StatsAccumulator::new();
-        for p in parts.clone() {
-            forward.merge(p);
-        }
-        let mut backward = StatsAccumulator::new();
-        for p in parts.into_iter().rev() {
-            backward.merge(p);
-        }
-        // Logical content is merge-order independent; snapshot *bytes* are
-        // only promised for identical ingest sequences, so compare the sets
-        // and the derived statistics, not the serialized segments.
-        assert_eq!(forward, backward);
-        assert_eq!(forward.to_stats(), backward.to_stats());
+        };
+        assert_eq!(bytes(&via_store), bytes(&via_slices));
+    }
+
+    /// Two valid paths whose 64-bit path fingerprints are equal
+    /// (`0x00e3_cb7c_4080_b204`).
+    fn colliding_pair() -> [Observation; 2] {
+        [
+            obs(213641905, "213641905 64500", &[(100, 1)]),
+            obs(1456344755, "1456344755 537186471", &[(100, 1)]),
+        ]
     }
 
     #[test]
-    fn snapshot_roundtrips_through_json() {
-        let all = workload();
+    fn colliding_paths_stay_distinct_in_one_file_or_two() {
+        let pair = colliding_pair();
+        let fingerprint = |o: &Observation| {
+            let (mut segs, mut asns) = (Vec::new(), Vec::new());
+            AsPathView::of(&o.path, &mut segs, &mut asns).fingerprint()
+        };
+        assert_eq!(fingerprint(&pair[0]), fingerprint(&pair[1]));
         let siblings = SiblingMap::default();
-        let mut acc = StatsAccumulator::new();
-        acc.ingest(&all, &siblings, 2);
-        let snap = acc.snapshot().clone();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap, "u64 fingerprints survive JSON exactly");
-        let mut rebuilt = StatsAccumulator::from_snapshot(&back);
-        assert_eq!(rebuilt.to_stats(), acc.to_stats());
-        assert_eq!(rebuilt.snapshot(), &snap);
+        let mut one = StatsAccumulator::new();
+        one.ingest_ordered(&pair, &siblings);
+        let mut first = StatsAccumulator::new();
+        first.ingest_ordered(&pair[..1], &siblings);
+        let mut second = StatsAccumulator::new();
+        second.ingest_store(&ObservationStore::from_observations(&pair[1..]), &siblings);
+        let mut split = first.clone();
+        split.merge(&second);
+        let mut resumed = StatsAccumulator::from_snapshot(first, &siblings);
+        resumed.ingest_ordered(&pair[1..], &siblings);
+        for acc in [&one, &split, &resumed] {
+            let stats = acc.to_stats();
+            let counts = stats.counts(Community::new(100, 1)).unwrap();
+            assert_eq!((counts.on, counts.off), (0, 2));
+            assert_eq!((stats.unique_paths, stats.unique_tuples), (2, 2));
+            let mut asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
+            asns.sort_unstable();
+            assert_eq!(asns, [64500, 213641905, 537186471, 1456344755]);
+            assert_eq!(stats, PathStats::from_observations(&pair, &siblings));
+        }
     }
 
     #[test]
-    fn interleaved_snapshots_reproduce_on_resume() {
-        // The segment-append path: a run that snapshots after every "file"
-        // and an interrupted run resumed from a mid-run snapshot must end in
-        // byte-identical serialized state — the contract `--resume` rests
-        // on — even at different thread counts.
+    fn on_path_test_runs_under_the_resumed_map() {
+        // Folded under no siblings, resumed under a map that makes 64999 a
+        // sibling of 1299: every tuple is counted under the new map.
         let all = workload();
-        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
-        let mut full = StatsAccumulator::new();
-        let mut mid = StatsSnapshot::default();
-        for (i, chunk) in all.chunks(9).enumerate() {
-            full.ingest(chunk, &siblings, 2);
-            let snap = full.snapshot();
-            if i == 2 {
-                mid = snap.clone(); // the crash point
-            }
-        }
-        let mut resumed = StatsAccumulator::from_snapshot(&mid);
-        for chunk in all.chunks(9).skip(3) {
-            resumed.ingest(chunk, &siblings, 8);
-            let _ = resumed.snapshot();
-        }
-        assert_eq!(resumed.snapshot(), full.snapshot());
-        assert_eq!(
-            serde_json::to_string(resumed.snapshot()).unwrap(),
-            serde_json::to_string(full.snapshot()).unwrap()
-        );
-        // The classifier input is grouping- and cadence-independent.
-        let mut one_shot = StatsAccumulator::new();
-        one_shot.ingest(&all, &siblings, 1);
-        assert_eq!(resumed.to_stats(), one_shot.to_stats());
+        let old = SiblingMap::default();
+        let new = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut acc = StatsAccumulator::new();
+        acc.ingest_ordered(&all[..20], &old);
+        let mut resumed = StatsAccumulator::from_snapshot(acc.detached(), &new);
+        resumed.ingest_ordered(&all[20..], &old);
+        assert_eq!(resumed.to_stats(), PathStats::from_observations(&all, &new));
     }
 
     #[test]
@@ -1259,7 +991,7 @@ mod tests {
         let path = dir.join("run.ckpt");
 
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&workload(), &SiblingMap::default(), 1);
+        acc.ingest_ordered(&workload(), &SiblingMap::default());
         let mut cp = Checkpoint::new();
         cp.files.push(CompletedFile {
             path: "a.mrt".into(),
@@ -1269,7 +1001,7 @@ mod tests {
             },
         });
         cp.report.records_read = 60;
-        cp.snapshot = acc.snapshot().clone();
+        cp.snapshot = acc;
         cp.save_atomic(&path).unwrap();
         // No temp file left behind.
         assert!(!path.with_file_name("run.ckpt.tmp").exists());
@@ -1324,7 +1056,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&workload(), &SiblingMap::default(), 1);
+        acc.ingest_ordered(&workload(), &SiblingMap::default());
         let mut cp = Checkpoint::new();
         cp.files.push(CompletedFile {
             path: "updates.00.mrt".into(),
@@ -1336,7 +1068,7 @@ mod tests {
         cp.report.records_read = 120;
         cp.report.bytes_ok = 4096;
         cp.report.bytes_read = 4096;
-        cp.snapshot = acc.snapshot().clone();
+        cp.snapshot = acc;
         cp.save_atomic(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         (path, loaded)
@@ -1409,7 +1141,7 @@ mod tests {
         let mut header_tampered = raw.clone();
         header_tampered[at + needle.len() - 1] = b'1';
         expect_checksum_refusal(&header_tampered, "header byte");
-        // One byte inside the column block (the last on-/off-path word):
+        // One byte inside the column block (the last tuple's cset ID):
         // every length still fits, so again only the seal catches it.
         let mut column_tampered = raw.clone();
         let last = column_tampered.len() - 1;

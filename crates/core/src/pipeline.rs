@@ -406,8 +406,8 @@ mod tests {
         // Accumulate the same input as two "files", then classify from the
         // accumulator-derived stats: the checkpointed-run path.
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&observations[..2], &siblings, 1);
-        acc.ingest(&observations[2..], &siblings, 1);
+        acc.ingest_ordered(&observations[..2], &siblings);
+        acc.ingest_ordered(&observations[2..], &siblings);
         let resumed = run_inference_from_stats(acc.to_stats(), &siblings, &cfg, None, None);
         assert_eq!(resumed.stats, direct.stats);
         assert_eq!(resumed.inference, direct.inference);

@@ -16,12 +16,13 @@
 //! a path carries the same ID, so each unique path lands in exactly one
 //! shard and per-shard counts merge by summation, bit-identical to the
 //! sequential reduction at any thread count. The `Observation`-slice
-//! entry points survive as thin wrappers that build a store first.
+//! entry points survive as thin wrappers that build a store first, and the
+//! checkpoint accumulator runs the same kernel over its unique tuples.
 
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
-use bgp_types::store::ObservationStore;
+use bgp_types::store::{Interner, ObservationStore};
 use bgp_types::{Asn, Community, Observation};
 
 /// Unique-path counts for one community.
@@ -79,11 +80,10 @@ enum SlotOwner {
     Family { lo: u32, hi: u32 },
 }
 
-/// Precomputed on-path test over one store: per-community-slot owner
+/// Precomputed on-path test over one interner: per-community-slot owner
 /// family resolution. Built once, then every `(community slot, path ID)`
 /// test is a handful of binary searches over dense values — no hashing,
-/// no sibling-family walk. Shared with the checkpoint accumulator's
-/// store-ingestion path, where the same test runs per (tuple × community).
+/// no sibling-family walk. Shared with the artifact consistency check.
 pub(crate) struct OnPathIndex {
     resolved: Vec<SlotOwner>,
     /// ASN values of multi-member owner families, ranged by `SlotOwner::Family`.
@@ -91,11 +91,11 @@ pub(crate) struct OnPathIndex {
 }
 
 impl OnPathIndex {
-    pub(crate) fn build(store: &ObservationStore, siblings: &SiblingMap) -> Self {
+    pub(crate) fn build(interner: &Interner, siblings: &SiblingMap) -> Self {
         let mut family_pool = Vec::new();
-        let resolved = (0..store.community_count() as u32)
+        let resolved = (0..interner.community_count() as u32)
             .map(|slot| {
-                let owner = Asn::new(store.community(slot).asn as u32);
+                let owner = Asn::new(interner.community(slot).asn as u32);
                 let family = siblings.expand_ref(&owner);
                 if family.len() <= 1 {
                     SlotOwner::Plain(owner.value())
@@ -117,8 +117,8 @@ impl OnPathIndex {
 
     /// Whether the owner of community slot `slot` (or one of its siblings)
     /// appears on path `path_id`.
-    pub(crate) fn on_path(&self, store: &ObservationStore, path_id: u32, slot: u32) -> bool {
-        let members = store.path_members(path_id);
+    pub(crate) fn on_path(&self, interner: &Interner, path_id: u32, slot: u32) -> bool {
+        let members = interner.path_members(path_id);
         match self.resolved[slot as usize] {
             SlotOwner::Plain(asn) => members.binary_search(&asn).is_ok(),
             SlotOwner::Family { lo, hi } => self.family_pool[lo as usize..hi as usize]
@@ -136,25 +136,18 @@ impl OnPathIndex {
 /// so a community's unique on/off paths in this shard are disjoint from
 /// every other shard's.
 fn shard_stats(
-    store: &ObservationStore,
+    interner: &Interner,
     index: &OnPathIndex,
+    tuples: impl Iterator<Item = (u32, u32)>,
     shard: u32,
     shard_count: u32,
 ) -> (Vec<PathCounts>, usize, usize) {
     // Dedup tuples: pack (path ID, cset ID) into one u64 and sort. The
     // sort is path-major, so unique paths fall out as key runs.
-    let mut tuples: Vec<u64> = if shard_count == 1 {
-        store
-            .tuples()
-            .map(|(p, c)| (u64::from(p) << 32) | u64::from(c))
-            .collect()
-    } else {
-        store
-            .tuples()
-            .filter(|&(p, _)| p % shard_count == shard)
-            .map(|(p, c)| (u64::from(p) << 32) | u64::from(c))
-            .collect()
-    };
+    let mut tuples: Vec<u64> = tuples
+        .filter(|&(p, _)| shard_count == 1 || p % shard_count == shard)
+        .map(|(p, c)| (u64::from(p) << 32) | u64::from(c))
+        .collect();
     tuples.sort_unstable();
     tuples.dedup();
     let unique_tuples = tuples.len();
@@ -178,13 +171,13 @@ fn shard_stats(
             prev_path = path;
         }
         let pid = path as u32;
-        for &slot in store.cset_slots(key as u32) {
+        for &slot in interner.cset_slots(key as u32) {
             let s = slot as usize;
             if last_path[s] == path {
                 continue;
             }
             last_path[s] = path;
-            if index.on_path(store, pid, slot) {
+            if index.on_path(interner, pid, slot) {
                 counts[s].on += 1;
             } else {
                 counts[s].off += 1;
@@ -211,18 +204,37 @@ impl PathStats {
         siblings: &SiblingMap,
         threads: usize,
     ) -> Self {
+        Self::from_tuples(store.interner(), || store.tuples(), siblings, threads)
+    }
+
+    /// The one reduction behind every statistics path: the `(path ID,
+    /// cset ID)` tuples that `tuples` yields (duplicates allowed), over
+    /// the paths and community sets of `interner`, with the on-path test
+    /// under `siblings`. [`from_store`](Self::from_store) feeds it a
+    /// store's per-observation tuples; the checkpoint accumulator feeds it
+    /// its unique tuples. Every interned path must occur in some tuple
+    /// (`seen_asns` is read off the interned paths).
+    pub(crate) fn from_tuples<I>(
+        interner: &Interner,
+        tuples: impl Fn() -> I + Sync,
+        siblings: &SiblingMap,
+        threads: usize,
+    ) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
         let threads = effective_threads(threads);
-        let index = OnPathIndex::build(store, siblings);
-        let shard_count = if threads <= 1 || store.len() < 2 {
+        let index = OnPathIndex::build(interner, siblings);
+        let shard_count = if threads <= 1 || interner.path_count() < 2 {
             1
         } else {
             threads as u32
         };
         let parts: Vec<_> = if shard_count == 1 {
-            vec![shard_stats(store, &index, 0, 1)]
+            vec![shard_stats(interner, &index, tuples(), 0, 1)]
         } else {
             par_map_indexed(shard_count as usize, threads, |i| {
-                shard_stats(store, &index, i as u32, shard_count)
+                shard_stats(interner, &index, tuples(), i as u32, shard_count)
             })
         };
 
@@ -243,14 +255,14 @@ impl PathStats {
             if counts.on + counts.off > 0 {
                 stats
                     .per_community
-                    .insert(store.community(slot as u32), counts);
+                    .insert(interner.community(slot as u32), counts);
             }
         }
-        // Every interned path has at least one observation, so the union
-        // of interned member slices is exactly the old per-observation
-        // scan. Sort-dedup the flat member pool first: hashing only the
-        // distinct survivors is far cheaper than hashing every entry.
-        let mut vals: Vec<u32> = store.member_values().to_vec();
+        // Every interned path occurs in some tuple, so the union of
+        // interned member slices is exactly the old per-observation scan.
+        // Sort-dedup the flat member pool first: hashing only the distinct
+        // survivors is far cheaper than hashing every entry.
+        let mut vals: Vec<u32> = interner.member_values().to_vec();
         vals.sort_unstable();
         vals.dedup();
         stats.seen_asns.reserve(vals.len());

@@ -8,12 +8,13 @@
 //! lost run:
 //!
 //! * [`plan_shards`] deals the input files round-robin into N shards. The
-//!   partition never affects the merged result — per-shard
-//!   [`StatsSnapshot`](crate::checkpoint::StatsSnapshot) artifacts hold
-//!   content-based fingerprint *sets* whose union is exact and commutative
-//!   (see [`crate::checkpoint`]), so merging shards in shard order yields
-//!   the same [`PathStats`](crate::stats::PathStats) as one process
-//!   reading every file.
+//!   partition never affects the merged result — each shard artifact
+//!   holds an exact [`StatsAccumulator`](crate::checkpoint::StatsAccumulator)
+//!   state (interned paths, community sets and unique tuples), and merging
+//!   re-interns and dedups them (see [`crate::checkpoint`]), so merging
+//!   shards in any order yields the same
+//!   [`PathStats`](crate::stats::PathStats) as one process reading every
+//!   file.
 //! * [`supervise`] runs one subprocess per shard, watches a per-shard
 //!   heartbeat file for progress, and classifies every failure
 //!   ([`ShardFailureKind`]): nonzero exit, death by signal, a stall (no
@@ -65,7 +66,7 @@ pub struct ShardSpec {
 /// Deal `files` round-robin into at most `workers` shards (shard `i` gets
 /// files `i`, `i+workers`, …), dropping empty shards. Round-robin keeps
 /// shard byte-sizes balanced when archives are similar sizes, and the
-/// partition is irrelevant to the merged result (set-union merging), so no
+/// partition is irrelevant to the merged result (exact merging), so no
 /// cleverer balancing is needed for correctness.
 pub fn plan_shards(files: &[String], workers: usize, dir: &Path) -> Vec<ShardSpec> {
     let workers = workers.max(1);
@@ -619,7 +620,7 @@ fn fail_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{CompletedFile, StatsAccumulator};
+    use crate::checkpoint::CompletedFile;
     use bgp_relationships::SiblingMap;
     use bgp_types::{Asn, Community, Observation};
     use std::fs;
@@ -671,8 +672,7 @@ mod tests {
                 fingerprint: fingerprint_file(Path::new(f)).unwrap(),
             });
         }
-        let mut acc = StatsAccumulator::new();
-        acc.ingest(
+        cp.snapshot.ingest_ordered(
             &[Observation {
                 vp: Asn::new(64500),
                 prefix: "10.0.0.0/24".parse().unwrap(),
@@ -682,9 +682,7 @@ mod tests {
                 time: 0,
             }],
             &SiblingMap::default(),
-            1,
         );
-        cp.snapshot = acc.snapshot().clone();
         cp.save_atomic(&spec.artifact).unwrap();
     }
 

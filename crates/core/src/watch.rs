@@ -16,10 +16,11 @@
 //!   retained bucket, the label map, and the flap counters. It shares the
 //!   batch checkpoint's envelope ([`crate::checkpoint`], "On-disk
 //!   format"): counters, geometry, labels and exclusions in the JSON
-//!   header, then the cumulative snapshot and each bucket's snapshot, in
-//!   ascending bucket order, as raw little-endian column blocks. Restoring it
-//!   reproduces the daemon's exact state at the recorded cursor, so a
-//!   resumed run counts the same flaps an uninterrupted one would.
+//!   header, then the cumulative state and each bucket's state, in
+//!   ascending bucket order, as column blocks of interned paths, community
+//!   sets and unique tuples. Restoring it reproduces the daemon's exact
+//!   state at the recorded cursor, so a resumed run counts the same flaps
+//!   an uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
 //!   [`ResumingStream`] (bounded queue, backpressure, reconnect, stall
 //!   detection), advance-before-fold window maintenance, checkpoint
@@ -29,15 +30,15 @@
 //! # Why the cumulative accumulator is the recovery substrate
 //!
 //! The per-bucket ring drives *windowed* classification; crash recovery
-//! and batch parity ride on the *cumulative* [`StatsAccumulator`], whose
-//! content-based set union is idempotent per element. A kill -9 between
-//! checkpoints loses nothing but the cursor distance: the resumed run
-//! re-requests the stream from the last checkpoint's cursor and re-folds
-//! the re-delivered records, and every fingerprint that was already in a
-//! set stays counted exactly once. At a quiescent point the cumulative
-//! stats (and the labels classified from them) are therefore identical to
-//! a batch run over the same delivered bytes — the invariant the streaming
-//! CI job pins with `cmp`.
+//! and batch parity ride on the *cumulative* [`StatsAccumulator`], which
+//! keeps each unique `(path, community set)` tuple once, by exact
+//! identity. A kill -9 between checkpoints loses nothing but the cursor
+//! distance: the resumed run re-requests the stream from the last
+//! checkpoint's cursor and re-folds the re-delivered records, and every
+//! tuple that was already in the state stays counted exactly once. At a
+//! quiescent point the cumulative stats (and the labels classified from
+//! them) are therefore identical to a batch run over the same delivered
+//! bytes — the invariant the streaming CI job pins with `cmp`.
 
 use std::collections::VecDeque;
 use std::io;
@@ -55,8 +56,7 @@ use bgp_types::{Asn, Community, Intent, Observation};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
-    encode_sealed, load_sealed, save_sealed, seal_of, CheckpointLoadError, Sealed,
-    StatsAccumulator, StatsSnapshot,
+    encode_sealed, load_sealed, save_sealed, seal_of, CheckpointLoadError, Sealed, StatsAccumulator,
 };
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
@@ -64,8 +64,10 @@ use crate::stats::{PathCounts, PathStats};
 /// Version stamp inside every watch checkpoint; bump on layout changes so
 /// a resume against an incompatible manifest refuses instead of
 /// misreading. Schema 2 is the sealed binary envelope shared with the
-/// batch checkpoint (see [`crate::checkpoint`], "On-disk format").
-pub const WATCH_CHECKPOINT_SCHEMA: u32 = 2;
+/// batch checkpoint (see [`crate::checkpoint`], "On-disk format"); schema
+/// 3 holds interned paths, community sets and tuples in place of
+/// fingerprint columns.
+pub const WATCH_CHECKPOINT_SCHEMA: u32 = 3;
 
 /// Sliding-window geometry: bucket width in stream seconds and how many
 /// buckets the window retains.
@@ -198,14 +200,15 @@ impl WindowedClassifier {
         self.buckets.len()
     }
 
-    /// The windowed statistics right now: the union of every retained
-    /// bucket (including folds since the last reclassification).
-    pub fn windowed_stats(&self) -> PathStats {
+    /// The windowed statistics right now, on-path tested under
+    /// `siblings`: the union of every retained bucket (including folds
+    /// since the last reclassification).
+    pub fn windowed_stats(&self, siblings: &SiblingMap) -> PathStats {
         let mut acc = StatsAccumulator::new();
         for (_, bucket) in &self.buckets {
-            acc.merge(bucket.clone());
+            acc.merge(bucket);
         }
-        acc.to_stats()
+        acc.stats_under(siblings)
     }
 
     /// Fold one observation. If it opens a newer bucket than the current
@@ -277,7 +280,7 @@ impl WindowedClassifier {
     /// The dirty set is the union of owners touched through either — so
     /// skipping the rest is exact, not heuristic.
     pub fn reclassify(&mut self, siblings: &SiblingMap) -> u64 {
-        let new = self.windowed_stats();
+        let new = self.windowed_stats(siblings);
 
         let mut dirty: Vec<u16> = Vec::new();
         for (c, counts) in &new.per_community {
@@ -397,7 +400,7 @@ impl WindowedClassifier {
             buckets: cp
                 .buckets
                 .iter()
-                .map(|b| (b.index, StatsAccumulator::from_snapshot(&b.stats)))
+                .map(|b| (b.index, b.stats.clone()))
                 .collect(),
             prev: cp.windowed.to_stats(),
             labels,
@@ -416,9 +419,9 @@ impl WindowedClassifier {
 pub struct WatchBucket {
     /// The bucket index (`time / window_secs`).
     pub index: u64,
-    /// The bucket's accumulated statistics (a column block on disk).
+    /// The bucket's statistics state (a column block on disk).
     #[serde(skip)]
-    pub stats: StatsSnapshot,
+    pub stats: StatsAccumulator,
 }
 
 /// Serialized diff base: the windowed [`PathStats`] at the last
@@ -505,10 +508,10 @@ pub struct WatchCheckpoint {
     pub window_secs: u32,
     /// Retained bucket count the run was started with.
     pub windows: usize,
-    /// The cumulative accumulator (batch-parity substrate; the first
-    /// column block on disk).
+    /// The cumulative state (batch-parity substrate; the first column
+    /// block on disk).
     #[serde(skip)]
-    pub cumulative: StatsSnapshot,
+    pub cumulative: StatsAccumulator,
     /// Every retained window bucket, ascending by index.
     pub buckets: Vec<WatchBucket>,
     /// The dirty-owner diff base (see [`WindowedStatsSnapshot`]).
@@ -520,12 +523,11 @@ pub struct WatchCheckpoint {
 }
 
 impl WatchCheckpoint {
-    /// Capture the daemon's state. Flushes snapshot deltas in the
-    /// cumulative accumulator and every bucket (`&mut`), which is what
-    /// keeps the cost per checkpoint proportional to *new* elements.
+    /// Capture the daemon's state: a copy of the cumulative state and of
+    /// every retained bucket, without their sibling maps.
     pub fn capture(
-        classifier: &mut WindowedClassifier,
-        cumulative: &mut StatsAccumulator,
+        classifier: &WindowedClassifier,
+        cumulative: &StatsAccumulator,
         cursor: u64,
         records: u64,
         observations: u64,
@@ -544,10 +546,10 @@ impl WatchCheckpoint {
         excluded.sort_unstable_by_key(|&(p, _)| p);
         let buckets = classifier
             .buckets
-            .iter_mut()
+            .iter()
             .map(|(index, acc)| WatchBucket {
                 index: *index,
-                stats: acc.snapshot().clone(),
+                stats: acc.detached(),
             })
             .collect();
         WatchCheckpoint {
@@ -562,7 +564,7 @@ impl WatchCheckpoint {
             reclassified_owners: classifier.reclassified_owners,
             window_secs: classifier.window.window_secs,
             windows: classifier.window.windows,
-            cumulative: cumulative.snapshot().clone(),
+            cumulative: cumulative.detached(),
             buckets,
             windowed: WindowedStatsSnapshot::from_stats(&classifier.prev),
             labels,
@@ -606,13 +608,13 @@ impl Sealed for WatchCheckpoint {
         self.checksum = checksum;
     }
 
-    fn columns(&self) -> Vec<&StatsSnapshot> {
+    fn columns(&self) -> Vec<&StatsAccumulator> {
         std::iter::once(&self.cumulative)
             .chain(self.buckets.iter().map(|b| &b.stats))
             .collect()
     }
 
-    fn columns_mut(&mut self) -> Vec<&mut StatsSnapshot> {
+    fn columns_mut(&mut self) -> Vec<&mut StatsAccumulator> {
         std::iter::once(&mut self.cumulative)
             .chain(self.buckets.iter_mut().map(|b| &mut b.stats))
             .collect()
@@ -780,7 +782,7 @@ pub fn run_watch<S: StreamSource>(
             resumed = true;
             (
                 WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
-                StatsAccumulator::from_snapshot(&cp.cumulative),
+                StatsAccumulator::from_snapshot(cp.cumulative, siblings),
                 cp.cursor,
                 cp.records,
                 cp.observations,
@@ -838,8 +840,8 @@ pub fn run_watch<S: StreamSource>(
                     let cursor = cursor_base + decoder.consumed_bytes();
                     let records = base_records + decoder.records_decoded();
                     WatchCheckpoint::capture(
-                        &mut classifier,
-                        &mut cumulative,
+                        &classifier,
+                        &cumulative,
                         cursor,
                         records,
                         observations,
@@ -866,14 +868,8 @@ pub fn run_watch<S: StreamSource>(
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
     if let Some(path) = opts.checkpoint.as_deref() {
-        WatchCheckpoint::capture(
-            &mut classifier,
-            &mut cumulative,
-            cursor,
-            records,
-            observations,
-        )
-        .save_atomic(path)?;
+        WatchCheckpoint::capture(&classifier, &cumulative, cursor, records, observations)
+            .save_atomic(path)?;
     }
 
     let stats = cumulative.to_stats();
@@ -988,7 +984,7 @@ mod tests {
             // equal a full classify over the windowed statistics.
             if i % 5 == 4 {
                 wc.reclassify(&siblings);
-                let full = classify(&wc.windowed_stats(), &siblings, &cfg);
+                let full = classify(&wc.windowed_stats(&siblings), &siblings, &cfg);
                 assert_eq!(wc.labels(), &full.labels, "labels diverged at obs {i}");
                 assert_eq!(
                     wc.excluded(),
@@ -998,7 +994,7 @@ mod tests {
             }
         }
         wc.reclassify(&siblings);
-        let full = classify(&wc.windowed_stats(), &siblings, &cfg);
+        let full = classify(&wc.windowed_stats(&siblings), &siblings, &cfg);
         assert_eq!(wc.labels(), &full.labels);
         assert_eq!(wc.excluded(), &full.excluded);
         assert!(wc.advances() >= 7, "windows advanced: {}", wc.advances());
@@ -1065,9 +1061,9 @@ mod tests {
                 before.observe(o, &siblings);
                 cumulative_b.ingest_ordered(std::slice::from_ref(o), &siblings);
             }
-            let cp = WatchCheckpoint::capture(&mut before, &mut cumulative_b, 0, 0, cut as u64);
+            let cp = WatchCheckpoint::capture(&before, &cumulative_b, 0, 0, cut as u64);
             let mut resumed = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
-            let mut cumulative_r = StatsAccumulator::from_snapshot(&cp.cumulative);
+            let mut cumulative_r = StatsAccumulator::from_snapshot(cp.cumulative, &siblings);
             for o in &stream[cut..] {
                 resumed.observe(o, &siblings);
                 cumulative_r.ingest_ordered(std::slice::from_ref(o), &siblings);
@@ -1110,7 +1106,7 @@ mod tests {
         // Evicted bucket (0): dropped and counted, never folded.
         wc.observe(&obs(1, "1 100 5", &[(100, 3)], 60), &siblings);
         assert_eq!(wc.late_drops(), 1);
-        let stats = wc.windowed_stats();
+        let stats = wc.windowed_stats(&siblings);
         assert!(stats.counts(Community::new(100, 2)).is_some());
         assert!(stats.counts(Community::new(100, 3)).is_none());
     }
@@ -1124,7 +1120,7 @@ mod tests {
             wc.observe(o, &siblings);
             cumulative.ingest_ordered(std::slice::from_ref(o), &siblings);
         }
-        let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 777, 12, 12);
+        let cp = WatchCheckpoint::capture(&wc, &cumulative, 777, 12, 12);
 
         let dir = std::env::temp_dir().join(format!("bgp-watch-cp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1208,7 +1204,7 @@ mod tests {
         // semantics the streaming side uses.
         let observations = bgp_mrt::obs::read_observations(&bytes[..]).unwrap();
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&observations, &scenario.siblings, 1);
+        acc.ingest_ordered(&observations, &scenario.siblings);
         let batch = classify(&acc.to_stats(), &scenario.siblings, &opts.infer);
         assert_eq!(outcome.stats, acc.to_stats());
         assert_eq!(outcome.inference.labels, batch.labels);

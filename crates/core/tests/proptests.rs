@@ -280,43 +280,57 @@ proptest! {
     }
 
     #[test]
-    fn checkpointed_store_ingest_is_deterministic_and_resumable(
+    fn accumulator_matches_reference_however_split_merged_or_resumed(
         observations in arb_messy_observations(),
         siblings in arb_siblings(),
+        n_files in 1usize..5,
     ) {
-        // Reference run: the retained slice fold, single-threaded, with a
-        // snapshot after every "file" (chunk).
-        let chunk = observations.len().div_ceil(3).max(1);
-        let mut slice_acc = StatsAccumulator::new();
-        for file in observations.chunks(chunk) {
-            slice_acc.ingest(file, &siblings, 1);
-            slice_acc.snapshot();
-        }
-        let expected = slice_acc.snapshot().clone();
-        let expected_stats = slice_acc.to_stats();
+        let reference = reference_stats(&observations, &siblings);
+        let chunk = observations.len().div_ceil(n_files).max(1);
+        let files: Vec<&[Observation]> = observations.chunks(chunk).collect();
+        let states: Vec<StatsAccumulator> = files
+            .iter()
+            .map(|file| {
+                let mut acc = StatsAccumulator::new();
+                acc.ingest_store(&ObservationStore::from_observations(file), &siblings);
+                acc
+            })
+            .collect();
+        let mut forward = StatsAccumulator::new();
+        states.iter().for_each(|s| forward.merge(s));
+        let mut reverse = StatsAccumulator::new();
+        states.iter().rev().for_each(|s| reverse.merge(s));
+        prop_assert_eq!(&forward.to_stats(), &reference);
+        prop_assert_eq!(&reverse.to_stats(), &reference);
 
-        for threads in [1usize, 2, 8] {
-            let mut acc = StatsAccumulator::new();
-            let mut resumed: Option<StatsAccumulator> = None;
-            for (i, file) in observations.chunks(chunk).enumerate() {
-                let store = ObservationStore::from_observations(file);
-                acc.ingest_store(&store, &siblings, threads);
-                let snap = acc.snapshot().clone();
-                if i == 0 {
-                    // Simulate a crash right after the first checkpoint:
-                    // restart from its bytes and replay the remaining files.
-                    resumed = Some(StatsAccumulator::from_snapshot(&snap));
-                } else if let Some(r) = resumed.as_mut() {
-                    r.ingest_store(&store, &siblings, threads);
-                    r.snapshot();
-                }
-            }
-            prop_assert_eq!(acc.snapshot(), &expected);
-            prop_assert_eq!(&acc.to_stats(), &expected_stats);
-            if let Some(mut r) = resumed {
-                prop_assert_eq!(r.snapshot(), &expected);
+        // One run checkpointing after every file, and one that crashes
+        // after the middle file's checkpoint and resumes from its bytes.
+        let dir = envelope_dir("oracle");
+        let save = |acc: &StatsAccumulator, name: &str| {
+            let path = dir.join(name);
+            Checkpoint { snapshot: acc.clone(), ..Checkpoint::new() }.save_atomic(&path).unwrap();
+            path
+        };
+        let crash_after = files.len() / 2;
+        let mut full = StatsAccumulator::new();
+        let mut resumed = None;
+        for (i, file) in files.iter().enumerate() {
+            full.ingest_ordered(file, &siblings);
+            let path = save(&full, "full.ckpt");
+            if i == crash_after {
+                let loaded = Checkpoint::load(&path).unwrap().snapshot;
+                resumed = Some(StatsAccumulator::from_snapshot(loaded, &siblings));
+            } else if let Some(r) = resumed.as_mut() {
+                r.ingest_store(&ObservationStore::from_observations(file), &siblings);
             }
         }
+        prop_assert_eq!(&full.to_stats(), &reference);
+        if let Some(r) = resumed {
+            prop_assert_eq!(&r.to_stats(), &reference);
+            let uninterrupted = std::fs::read(save(&full, "full.ckpt")).unwrap();
+            prop_assert_eq!(std::fs::read(save(&r, "resumed.ckpt")).unwrap(), uninterrupted);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -361,30 +375,74 @@ fn reseal(bytes: &mut [u8]) {
     bytes[SEAL_AT..SEAL_AT + 8].copy_from_slice(&seal.to_le_bytes());
 }
 
+/// Where the first column block's count fields and arrays sit, from the
+/// layout in the module docs of `bgp_intent::checkpoint`: six `u64`
+/// counts (paths, segments, ASNs, community sets, communities, tuples),
+/// then the arrays in order, each with its element width and the count
+/// that sizes it.
+struct FirstBlock {
+    counts_at: usize,
+    counts: [usize; 6],
+    /// `(start, width, count field)` of each array, in file order.
+    arrays: [(usize, usize, usize); 7],
+}
+
+impl FirstBlock {
+    const PATH_SEG_ENDS: usize = 0;
+    const PATH_ASN_ENDS: usize = 1;
+    const SEGS: usize = 2;
+    const CSET_ENDS: usize = 4;
+    const TUPLES: usize = 6;
+
+    fn of(sealed: &[u8]) -> Self {
+        let counts_at = PRELUDE_LEN + le_u64(sealed, PRELUDE_LEN - 8) as usize;
+        let counts: [usize; 6] =
+            std::array::from_fn(|i| le_u64(sealed, counts_at + 8 * i) as usize);
+        let mut at = counts_at + 48;
+        let arrays =
+            [(4, 0), (4, 0), (5, 1), (4, 2), (4, 3), (4, 4), (8, 5)].map(|(width, field)| {
+                let start = at;
+                at += width * counts[field];
+                (start, width, field)
+            });
+        FirstBlock {
+            counts_at,
+            counts,
+            arrays,
+        }
+    }
+
+    fn u32_at(bytes: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    }
+}
+
 /// Forged copies of a sealed envelope, each resealed: the header length
-/// and each of the first column block's four counts set to `u64::MAX` and
-/// to one element more than the bytes left at that point can hold.
+/// and each of the first column block's six counts set to `u64::MAX` and
+/// to one element more than the bytes left at its first array can hold.
 fn forged_lengths(sealed: &[u8]) -> Vec<(String, Vec<u8>)> {
     let len = sealed.len();
-    let col = PRELUDE_LEN + le_u64(sealed, PRELUDE_LEN - 8) as usize;
-    let mut rest = len - (col + 32);
+    let block = FirstBlock::of(sealed);
     let mut fields = vec![(
         "header length".to_string(),
         PRELUDE_LEN - 8,
         len - PRELUDE_LEN + 1,
     )];
-    for (i, (name, width)) in [
-        ("paths", 8),
-        ("tuples", 8),
-        ("seen_asns", 4),
-        ("communities", 20),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let at = col + 8 * i;
-        fields.push((name.to_string(), at, rest / width + 1));
-        rest -= width * le_u64(sealed, at) as usize;
+    let names = [
+        "paths",
+        "segments",
+        "ASNs",
+        "community sets",
+        "communities",
+        "tuples",
+    ];
+    for (field, name) in names.into_iter().enumerate() {
+        let &(start, width, _) = block.arrays.iter().find(|a| a.2 == field).unwrap();
+        fields.push((
+            name.to_string(),
+            block.counts_at + 8 * field,
+            (len - start) / width + 1,
+        ));
     }
     let mut forged = Vec::new();
     for (name, at, one_past) in fields {
@@ -398,10 +456,52 @@ fn forged_lengths(sealed: &[u8]) -> Vec<(String, Vec<u8>)> {
     forged
 }
 
-/// The damage every sealed envelope must survive: each strict prefix and
-/// each forged length is refused as `Corrupt` — never a panic, and never
-/// an allocation sized by the forged claim: no single request larger than
-/// the file itself or than the largest one loading the genuine file makes.
+/// Resealed copies whose lengths all fit but whose first column block is
+/// inconsistent, each with the phrase its refusal must name: a tuple's
+/// path ID at the path count, a segment count one more than its path's
+/// ASNs, and each offset list whose first end passes its second.
+fn forged_contents(sealed: &[u8]) -> Vec<(String, &'static str, Vec<u8>)> {
+    let block = FirstBlock::of(sealed);
+    let mut forged = Vec::new();
+    let mut edit = |what: &str, needle: &'static str, at: usize, value: u32| {
+        let mut bytes = sealed.to_vec();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bytes);
+        forged.push((what.to_string(), needle, bytes));
+    };
+    let (tuples, _, _) = block.arrays[FirstBlock::TUPLES];
+    if block.counts[5] > 0 {
+        edit(
+            "tuple path ID",
+            "out of range",
+            tuples,
+            block.counts[0] as u32,
+        );
+    }
+    let (segs, _, _) = block.arrays[FirstBlock::SEGS];
+    if block.counts[1] > 0 {
+        let count = FirstBlock::u32_at(sealed, segs + 1);
+        edit("segment count", "segment counts", segs + 1, count + 1);
+    }
+    for array in [
+        FirstBlock::PATH_SEG_ENDS,
+        FirstBlock::PATH_ASN_ENDS,
+        FirstBlock::CSET_ENDS,
+    ] {
+        let (start, _, field) = block.arrays[array];
+        if block.counts[field] >= 2 {
+            let second = FirstBlock::u32_at(sealed, start + 4);
+            edit("offsets", "offsets", start, second + 1);
+        }
+    }
+    forged
+}
+
+/// The damage every sealed envelope must survive: each strict prefix,
+/// each forged length and each inconsistent column is refused as
+/// `Corrupt` — never a panic, and never an allocation sized by a forged
+/// claim: no single request larger than the file itself or than the
+/// largest one loading the genuine file makes.
 fn assert_damage_refused<T: std::fmt::Debug>(
     path: &Path,
     load: fn(&Path) -> Result<T, CheckpointLoadError>,
@@ -422,12 +522,16 @@ fn assert_damage_refused<T: std::fmt::Debug>(
         );
     }
     drop(file);
-    for (what, bytes) in forged_lengths(&sealed) {
+    let forged = forged_lengths(&sealed)
+        .into_iter()
+        .map(|(what, bytes)| (what, "", bytes))
+        .chain(forged_contents(&sealed));
+    for (what, needle, bytes) in forged {
         std::fs::write(path, &bytes).unwrap();
         let (result, peak) = largest_allocation(|| load(path));
         let err = result.unwrap_err();
         assert!(
-            matches!(err, CheckpointLoadError::Corrupt { .. }),
+            matches!(err, CheckpointLoadError::Corrupt { ref detail, .. } if detail.contains(needle)),
             "forged {what}: {err}"
         );
         assert!(
@@ -458,16 +562,14 @@ proptest! {
     ) {
         let dir = envelope_dir("batch");
         let path = dir.join("run.ckpt");
-        let mut acc = StatsAccumulator::new();
         let mut cp = Checkpoint::new();
         for (i, file) in observations.chunks(cadence).enumerate() {
-            acc.ingest(file, &siblings, 1);
+            cp.snapshot.ingest_ordered(file, &siblings);
             cp.files.push(CompletedFile {
                 path: format!("updates.{i:02}.mrt"),
                 fingerprint: FileFingerprint { bytes: file.len() as u64, hash: i as u64 },
             });
             cp.report.records_read += file.len() as u64;
-            cp.snapshot = acc.snapshot().clone();
         }
         cp.save_atomic(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
@@ -489,14 +591,14 @@ proptest! {
         let mut classifier = WindowedClassifier::new(window, InferenceConfig::default());
         let mut cumulative = StatsAccumulator::new();
         let observations = timed(observations, step);
-        let mut cp = WatchCheckpoint::capture(&mut classifier, &mut cumulative, 0, 0, 0);
+        let mut cp = WatchCheckpoint::capture(&classifier, &cumulative, 0, 0, 0);
         for (i, batch) in observations.chunks(cadence).enumerate() {
             for o in batch {
                 classifier.observe(o, &siblings);
             }
             cumulative.ingest_ordered(batch, &siblings);
             let seen = (i * cadence + batch.len()) as u64;
-            cp = WatchCheckpoint::capture(&mut classifier, &mut cumulative, 40 * seen, seen, seen);
+            cp = WatchCheckpoint::capture(&classifier, &cumulative, 40 * seen, seen, seen);
         }
         cp.save_atomic(&path).unwrap();
         let back = WatchCheckpoint::load(&path).unwrap();

@@ -9,31 +9,28 @@
 //! thousands while observations number in the millions.
 //!
 //! [`ObservationStore`] inverts that layout. AS paths and community *sets*
-//! are interned **once**, at ingestion, into dense `u32` IDs; per-path
-//! derived data (sorted unique ASN members, the content fingerprint used
-//! by checkpointing) is computed once per unique path; and the
-//! observations themselves become parallel flat columns of IDs and scalars.
-//! Interned paths are themselves flat: per-path segment descriptors and ASN
-//! values live in shared pools, borrowed back out as [`AsPathView`]s, so
-//! interning from a decoder's borrowed [`ObservationView`] never touches
-//! the heap on the duplicate (hot) path — see
-//! [`ObservationSink::push_observation_view`]. The stats kernel then runs
-//! entirely over dense integers: tuple dedup is a sort over packed `u64`
-//! keys, the on-path test is a binary search in a sorted member slice, and
-//! sharding by path ID partitions unique paths exactly (every occurrence
-//! of a path carries the same ID), so parallel partial counts merge by
-//! summation with no rehashing.
+//! are interned **once**, at ingestion, into dense `u32` IDs by an exact
+//! [`Interner`]; per-path derived data (sorted unique ASN members) is
+//! computed once per unique path; and the observations themselves become
+//! parallel flat columns of IDs and scalars. Interned paths are themselves
+//! flat: per-path segment descriptors and ASN values live in shared pools,
+//! borrowed back out as [`AsPathView`]s, so interning from a decoder's
+//! borrowed [`ObservationView`] never touches the heap on the duplicate
+//! (hot) path — see [`ObservationSink::push_observation_view`]. The stats
+//! kernel then runs entirely over dense integers: tuple dedup is a sort
+//! over packed `u64` keys, the on-path test is a binary search in a sorted
+//! member slice, and sharding by path ID partitions unique paths exactly
+//! (every occurrence of a path carries the same ID), so parallel partial
+//! counts merge by summation with no rehashing.
 //!
-//! Two invariants matter for correctness elsewhere:
+//! The same [`Interner`] backs the checkpoint accumulator
+//! (`bgp_intent::checkpoint::StatsAccumulator`), which keeps unique
+//! `(path, cset)` ID tuples instead of per-observation columns.
 //!
-//! * **Community-set identity is the exact ordered list.** Tuple dedup is
-//!   order- and duplicate-sensitive (`(path, [a, b])` ≠ `(path, [b, a])`),
-//!   so the interner keys on the literal `Vec<Community>`, not a sorted
-//!   set.
-//! * **Path fingerprints equal `fx_hash_one(&path)`.** The checkpoint
-//!   accumulator's content-addressed snapshot format identifies paths by
-//!   that hash; the store precomputes it per unique path so the
-//!   checkpointed ingestion path can fold straight out of the store.
+//! One invariant matters for correctness elsewhere: **community-set
+//! identity is the exact ordered list.** Tuple dedup is order- and
+//! duplicate-sensitive (`(path, [a, b])` ≠ `(path, [b, a])`), so the
+//! interner keys on the literal `Vec<Community>`, not a sorted set.
 
 use crate::fx::{fx_hash_one, FxHashMap};
 use crate::observation::Observation;
@@ -188,22 +185,28 @@ impl FpMap {
     }
 }
 
-/// Columnar observation storage with interned paths and community sets.
+/// Exact interner for AS paths, community sets and individual communities:
+/// every distinct value gets a dense `u32` ID, in first-seen order.
 ///
-/// Per observation the store keeps two dense IDs (path, community set)
-/// plus the scalar columns (`vp`, `prefix`, `time`) and a flat pool for
-/// the rare large communities — roughly 40 bytes per observation versus
-/// the several heap allocations of an owned [`Observation`]. See
-/// DESIGN.md § "Data layout".
+/// Identity is exact. The hot probe is keyed by a 64-bit fingerprint, but
+/// a fingerprint hit is confirmed against the stored value, and distinct
+/// values that share a fingerprint go to exact-keyed overflow maps. The
+/// fingerprint is an internal probe key only; nothing outside the
+/// interner sees it.
+///
+/// [`ObservationStore`] is this interner plus per-observation columns;
+/// the checkpoint accumulator is this interner plus a unique-tuple column.
 #[derive(Debug, Clone, Default)]
-pub struct ObservationStore {
+pub struct Interner {
     // ---- interned AS paths (ID space: 0..path_count) ----
     /// Fingerprint → path ID. Keying the hot probe by the precomputed
     /// `u64` (instead of the full `AsPath`) makes the per-observation
-    /// probe a single-word scan; `path_dups` catches the astronomically
-    /// rare fingerprint collision exactly.
+    /// probe a single-word scan; `path_dups` catches fingerprint
+    /// collisions exactly.
     path_ids: FpMap,
     path_dups: FxHashMap<AsPath, u32>,
+    /// Per path ID, the probe fingerprint, so [`remap`](Self::remap)
+    /// re-interns without rehashing.
     path_fingerprints: Vec<u64>,
     /// `path_seg_offsets[id]..path_seg_offsets[id+1]` indexes `path_segs`.
     path_seg_offsets: Vec<u32>,
@@ -237,7 +240,244 @@ pub struct ObservationStore {
     // ---- interned individual communities (slot space: 0..community_count) ----
     community_ids: FxHashMap<u32, u32>,
     communities: Vec<Community>,
+}
 
+impl Interner {
+    /// An empty interner.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The ID of a borrowed path, interning it on first sight.
+    pub fn intern_path(&mut self, view: &AsPathView<'_>) -> u32 {
+        self.intern_path_view(view, view.fingerprint())
+    }
+
+    /// The ID of an owned path, interning it on first sight. No heap
+    /// traffic when the path is already interned: the owned path hashes
+    /// exactly as its flat view does, and is compared in place.
+    pub fn intern_owned_path(&mut self, path: &AsPath) -> u32 {
+        let fp = fx_hash_one(path);
+        match self.path_ids.get(fp) {
+            Some(id) if self.path_view(id).matches(path) => id,
+            _ => {
+                let (mut segs, mut asns) = (Vec::new(), Vec::new());
+                self.intern_path_view(&AsPathView::of(path, &mut segs, &mut asns), fp)
+            }
+        }
+    }
+
+    /// Intern a borrowed path with its precomputed fingerprint. The hot
+    /// (already-interned) outcome is a probe plus two slice compares.
+    /// Fingerprint collisions between distinct paths fall back to the
+    /// exact-keyed `path_dups` overflow map (materializing the path once).
+    fn intern_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
+        if let Some(id) = self.path_ids.get(fp) {
+            if self.path_view(id) == *view {
+                return id;
+            }
+            let owned = view.to_path();
+            if let Some(&id) = self.path_dups.get(&owned) {
+                return id;
+            }
+            let id = self.push_unique_path_view(view, fp);
+            self.path_dups.insert(owned, id);
+            return id;
+        }
+        let id = self.push_unique_path_view(view, fp);
+        self.path_ids.insert(fp, id);
+        id
+    }
+
+    /// Append a path known to be new, deriving its sorted member slice in
+    /// place (no scratch allocation) and closing the offset rows.
+    fn push_unique_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
+        if self.member_offsets.is_empty() {
+            self.member_offsets.push(0);
+            self.path_seg_offsets.push(0);
+            self.path_asn_offsets.push(0);
+        }
+        let id = self.path_fingerprints.len() as u32;
+        self.path_segs.extend_from_slice(view.segs);
+        self.path_asns.extend_from_slice(view.asns);
+        let member_start = self.members.len();
+        self.members.extend_from_slice(view.asns);
+        let tail = &mut self.members[member_start..];
+        tail.sort_unstable();
+        if !tail.is_empty() {
+            let mut w = 0;
+            for r in 1..tail.len() {
+                if tail[r] != tail[w] {
+                    w += 1;
+                    tail[w] = tail[r];
+                }
+            }
+            self.members.truncate(member_start + w + 1);
+        }
+        self.member_offsets.push(self.members.len() as u32);
+        self.path_seg_offsets.push(self.path_segs.len() as u32);
+        self.path_asn_offsets.push(self.path_asns.len() as u32);
+        self.path_fingerprints.push(fp);
+        id
+    }
+
+    /// The ID of an exact ordered community list, interning it on first
+    /// sight.
+    pub fn intern_cset(&mut self, communities: &[Community]) -> u32 {
+        let fp = fx_hash_one(communities);
+        if let Some(id) = self.cset_ids.get(fp) {
+            if self.cset(id) == communities {
+                return id;
+            }
+            if let Some(&id) = self.cset_dups.get(communities) {
+                return id;
+            }
+            let id = self.push_unique_cset(communities);
+            self.cset_dups.insert(communities.to_vec(), id);
+            return id;
+        }
+        let id = self.push_unique_cset(communities);
+        self.cset_ids.insert(fp, id);
+        id
+    }
+
+    fn push_unique_cset(&mut self, communities: &[Community]) -> u32 {
+        if self.cset_offsets.is_empty() {
+            self.cset_offsets.push(0);
+        }
+        let id = self.cset_offsets.len() as u32 - 1;
+        self.cset_pool.extend_from_slice(communities);
+        for &c in communities {
+            let next = self.communities.len() as u32;
+            let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
+            if slot == next {
+                self.communities.push(c);
+            }
+            self.cset_slot_pool.push(slot);
+        }
+        self.cset_offsets.push(self.cset_pool.len() as u32);
+        id
+    }
+
+    /// Re-intern every path and community set of `other`, in `other`'s ID
+    /// order (one probe per *unique* element, reusing its fingerprints),
+    /// and return the ID maps `other` path ID → own path ID and `other`
+    /// cset ID → own cset ID.
+    pub fn remap(&mut self, other: &Interner) -> (Vec<u32>, Vec<u32>) {
+        let paths = (0..other.path_count() as u32)
+            .map(|id| {
+                self.intern_path_view(&other.path_view(id), other.path_fingerprints[id as usize])
+            })
+            .collect();
+        let csets = (0..other.cset_count() as u32)
+            .map(|id| self.intern_cset(other.cset(id)))
+            .collect();
+        (paths, csets)
+    }
+
+    /// Number of distinct AS paths interned.
+    pub fn path_count(&self) -> usize {
+        self.path_fingerprints.len()
+    }
+
+    /// Number of distinct community sets interned.
+    pub fn cset_count(&self) -> usize {
+        self.cset_offsets.len().saturating_sub(1)
+    }
+
+    /// Number of distinct individual communities interned (slot space).
+    pub fn community_count(&self) -> usize {
+        self.communities.len()
+    }
+
+    /// Paths that fell back to the exact-key interner map because another
+    /// path shared their 64-bit fingerprint. Astronomically rare in
+    /// practice; a nonzero value is worth surfacing in telemetry because
+    /// every fallback entry clones its key.
+    pub fn path_collision_count(&self) -> usize {
+        self.path_dups.len()
+    }
+
+    /// Community sets interned through the exact-key collision fallback —
+    /// the `cset` analogue of [`Interner::path_collision_count`].
+    pub fn cset_collision_count(&self) -> usize {
+        self.cset_dups.len()
+    }
+
+    /// The community behind a dense slot ID.
+    pub fn community(&self, slot: u32) -> Community {
+        self.communities[slot as usize]
+    }
+
+    /// Dense community-slot IDs of a community-set ID, parallel to
+    /// [`cset`](Self::cset) (order and duplicates preserved).
+    pub fn cset_slots(&self, id: u32) -> &[u32] {
+        let lo = self.cset_offsets[id as usize] as usize;
+        let hi = self.cset_offsets[id as usize + 1] as usize;
+        &self.cset_slot_pool[lo..hi]
+    }
+
+    /// The interned path for a path ID, borrowed from the flat pools.
+    pub fn path_view(&self, id: u32) -> AsPathView<'_> {
+        let i = id as usize;
+        let seg_lo = self.path_seg_offsets[i] as usize;
+        let seg_hi = self.path_seg_offsets[i + 1] as usize;
+        AsPathView {
+            segs: &self.path_segs[seg_lo..seg_hi],
+            asns: self.path_hops(id),
+        }
+    }
+
+    /// Every ASN of the interned path in path order, duplicates (prepends)
+    /// and set members inline — the flat form of `path.iter()`.
+    pub fn path_hops(&self, id: u32) -> &[u32] {
+        let lo = self.path_asn_offsets[id as usize] as usize;
+        let hi = self.path_asn_offsets[id as usize + 1] as usize;
+        &self.path_asns[lo..hi]
+    }
+
+    /// Materialize the interned path for a path ID. Reconstructs from the
+    /// flat pools — use [`path_view`](Self::path_view) /
+    /// [`path_hops`](Self::path_hops) on hot paths.
+    pub fn path(&self, id: u32) -> AsPath {
+        self.path_view(id).to_path()
+    }
+
+    /// Sorted, deduped ASN values of the interned path. The on-path test
+    /// is a binary search in this slice.
+    pub fn path_members(&self, id: u32) -> &[u32] {
+        let lo = self.member_offsets[id as usize] as usize;
+        let hi = self.member_offsets[id as usize + 1] as usize;
+        &self.members[lo..hi]
+    }
+
+    /// The whole member pool: the concatenation of every interned path's
+    /// sorted unique ASNs. One pass over this slice visits every ASN that
+    /// appears on any path (with cross-path duplicates).
+    pub fn member_values(&self) -> &[u32] {
+        &self.members
+    }
+
+    /// The exact ordered community list for a community-set ID.
+    pub fn cset(&self, id: u32) -> &[Community] {
+        let lo = self.cset_offsets[id as usize] as usize;
+        let hi = self.cset_offsets[id as usize + 1] as usize;
+        &self.cset_pool[lo..hi]
+    }
+}
+
+/// Columnar observation storage: an [`Interner`] for paths and community
+/// sets, plus per-observation columns.
+///
+/// Per observation the store keeps two dense IDs (path, community set)
+/// plus the scalar columns (`vp`, `prefix`, `time`) and a flat pool for
+/// the rare large communities — roughly 40 bytes per observation versus
+/// the several heap allocations of an owned [`Observation`]. The
+/// interner's read accessors are available on the store through `Deref`.
+/// See DESIGN.md § "Data layout".
+#[derive(Debug, Clone, Default)]
+pub struct ObservationStore {
+    interner: Interner,
     // ---- per-observation columns (index space: 0..len) ----
     obs_path: Vec<u32>,
     obs_cset: Vec<u32>,
@@ -247,6 +487,14 @@ pub struct ObservationStore {
     /// `large_offsets[i]..large_offsets[i+1]` indexes `large_pool`.
     large_offsets: Vec<u32>,
     large_pool: Vec<LargeCommunity>,
+}
+
+impl std::ops::Deref for ObservationStore {
+    type Target = Interner;
+
+    fn deref(&self) -> &Interner {
+        &self.interner
+    }
 }
 
 impl ObservationStore {
@@ -294,9 +542,10 @@ impl ObservationStore {
         segs: &mut Vec<(u8, u32)>,
         asns: &mut Vec<u32>,
     ) {
-        let path = AsPathView::of(&obs.path, segs, asns);
-        let path_id = self.intern_path_view(&path, path.fingerprint());
-        let cset_id = self.intern_cset(&obs.communities);
+        let path_id = self
+            .interner
+            .intern_path(&AsPathView::of(&obs.path, segs, asns));
+        let cset_id = self.interner.intern_cset(&obs.communities);
         self.push_row(
             path_id,
             cset_id,
@@ -320,8 +569,8 @@ impl ObservationStore {
     /// pushes. First sight of a path/set copies the slices into the flat
     /// pools.
     pub fn push_view(&mut self, view: &ObservationView<'_>) {
-        let path_id = self.intern_path_view(&view.path, view.path.fingerprint());
-        let cset_id = self.intern_cset(view.communities);
+        let path_id = self.interner.intern_path(&view.path);
+        let cset_id = self.interner.intern_cset(view.communities);
         self.push_row(
             path_id,
             cset_id,
@@ -350,114 +599,13 @@ impl ObservationStore {
         self.large_offsets.push(self.large_pool.len() as u32);
     }
 
-    /// Intern a borrowed path with its precomputed fingerprint. The hot
-    /// (already-interned) outcome is a probe plus two slice compares.
-    /// Fingerprint collisions between distinct paths fall back to the
-    /// exact-keyed `path_dups` overflow map (materializing the path once).
-    fn intern_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
-        if let Some(id) = self.path_ids.get(fp) {
-            if self.path_view(id) == *view {
-                return id;
-            }
-            let owned = view.to_path();
-            if let Some(&id) = self.path_dups.get(&owned) {
-                return id;
-            }
-            let id = self.push_unique_path_view(view, fp);
-            self.path_dups.insert(owned, id);
-            return id;
-        }
-        let id = self.push_unique_path_view(view, fp);
-        self.path_ids.insert(fp, id);
-        id
-    }
-
-    fn push_unique_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
-        let asn_start = self.path_asns.len();
-        self.path_segs.extend_from_slice(view.segs);
-        self.path_asns.extend_from_slice(view.asns);
-        self.finish_unique_path(fp, asn_start)
-    }
-
-    /// Common tail of both unique-path paths: derive the sorted member
-    /// slice in place (no scratch allocation) and close the offset rows.
-    fn finish_unique_path(&mut self, fp: u64, asn_start: usize) -> u32 {
-        if self.member_offsets.is_empty() {
-            self.member_offsets.push(0);
-            self.path_seg_offsets.push(0);
-            self.path_asn_offsets.push(0);
-        }
-        let id = self.path_fingerprints.len() as u32;
-        let member_start = self.members.len();
-        self.members.extend_from_slice(&self.path_asns[asn_start..]);
-        let tail = &mut self.members[member_start..];
-        tail.sort_unstable();
-        if !tail.is_empty() {
-            let mut w = 0;
-            for r in 1..tail.len() {
-                if tail[r] != tail[w] {
-                    w += 1;
-                    tail[w] = tail[r];
-                }
-            }
-            self.members.truncate(member_start + w + 1);
-        }
-        self.member_offsets.push(self.members.len() as u32);
-        self.path_seg_offsets.push(self.path_segs.len() as u32);
-        self.path_asn_offsets.push(self.path_asns.len() as u32);
-        self.path_fingerprints.push(fp);
-        id
-    }
-
-    fn intern_cset(&mut self, communities: &[Community]) -> u32 {
-        let fp = fx_hash_one(communities);
-        if let Some(id) = self.cset_ids.get(fp) {
-            if self.cset(id) == communities {
-                return id;
-            }
-            if let Some(&id) = self.cset_dups.get(communities) {
-                return id;
-            }
-            let id = self.push_unique_cset(communities);
-            self.cset_dups.insert(communities.to_vec(), id);
-            return id;
-        }
-        let id = self.push_unique_cset(communities);
-        self.cset_ids.insert(fp, id);
-        id
-    }
-
-    fn push_unique_cset(&mut self, communities: &[Community]) -> u32 {
-        if self.cset_offsets.is_empty() {
-            self.cset_offsets.push(0);
-        }
-        let id = self.cset_offsets.len() as u32 - 1;
-        self.cset_pool.extend_from_slice(communities);
-        for &c in communities {
-            let next = self.communities.len() as u32;
-            let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
-            if slot == next {
-                self.communities.push(c);
-            }
-            self.cset_slot_pool.push(slot);
-        }
-        self.cset_offsets.push(self.cset_pool.len() as u32);
-        id
-    }
-
     /// Fold another store into this one, re-interning its unique paths and
-    /// community sets (one probe per *unique* element — reusing the
-    /// already-computed fingerprints, no path materialization — then a
-    /// dense ID remap per observation). Observation order is `self` then
-    /// `other`, so folding per-file stores in input order reproduces the
-    /// sequential single-sink order exactly.
+    /// community sets ([`Interner::remap`]), then a dense ID remap per
+    /// observation. Observation order is `self` then `other`, so folding
+    /// per-file stores in input order reproduces the sequential
+    /// single-sink order exactly.
     pub fn merge(&mut self, other: &ObservationStore) {
-        let path_map: Vec<u32> = (0..other.path_count() as u32)
-            .map(|id| self.intern_path_view(&other.path_view(id), other.path_fingerprint(id)))
-            .collect();
-        let cset_map: Vec<u32> = (0..other.cset_count())
-            .map(|id| self.intern_cset(other.cset(id as u32)))
-            .collect();
+        let (path_map, cset_map) = self.interner.remap(&other.interner);
         for i in 0..other.len() {
             self.push_row(
                 path_map[other.obs_path[i] as usize],
@@ -470,6 +618,11 @@ impl ObservationStore {
         }
     }
 
+    /// The interner behind the store's path and community-set IDs.
+    pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
     /// Number of observations stored.
     pub fn len(&self) -> usize {
         self.obs_path.len()
@@ -478,104 +631,6 @@ impl ObservationStore {
     /// Whether the store holds no observations.
     pub fn is_empty(&self) -> bool {
         self.obs_path.is_empty()
-    }
-
-    /// Number of distinct AS paths interned.
-    pub fn path_count(&self) -> usize {
-        self.path_fingerprints.len()
-    }
-
-    /// Number of distinct community sets interned.
-    pub fn cset_count(&self) -> usize {
-        self.cset_offsets.len().saturating_sub(1)
-    }
-
-    /// Number of distinct individual communities interned (slot space).
-    pub fn community_count(&self) -> usize {
-        self.communities.len()
-    }
-
-    /// Paths that fell back to the exact-key interner map because another
-    /// path shared their 64-bit fingerprint. Astronomically rare in
-    /// practice; a nonzero value is worth surfacing in telemetry because
-    /// every fallback entry clones its key.
-    pub fn path_collision_count(&self) -> usize {
-        self.path_dups.len()
-    }
-
-    /// Community sets interned through the exact-key collision fallback —
-    /// the `cset` analogue of [`ObservationStore::path_collision_count`].
-    pub fn cset_collision_count(&self) -> usize {
-        self.cset_dups.len()
-    }
-
-    /// The community behind a dense slot ID.
-    pub fn community(&self, slot: u32) -> Community {
-        self.communities[slot as usize]
-    }
-
-    /// Dense community-slot IDs of a community-set ID, parallel to
-    /// [`cset`](Self::cset) (order and duplicates preserved).
-    pub fn cset_slots(&self, id: u32) -> &[u32] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_slot_pool[lo..hi]
-    }
-
-    /// The interned path for a path ID, borrowed from the flat pools.
-    pub fn path_view(&self, id: u32) -> AsPathView<'_> {
-        let i = id as usize;
-        let seg_lo = self.path_seg_offsets[i] as usize;
-        let seg_hi = self.path_seg_offsets[i + 1] as usize;
-        let asn_lo = self.path_asn_offsets[i] as usize;
-        let asn_hi = self.path_asn_offsets[i + 1] as usize;
-        AsPathView {
-            segs: &self.path_segs[seg_lo..seg_hi],
-            asns: &self.path_asns[asn_lo..asn_hi],
-        }
-    }
-
-    /// Every ASN of the interned path in path order, duplicates (prepends)
-    /// and set members inline — the flat form of `path.iter()`.
-    pub fn path_hops(&self, id: u32) -> &[u32] {
-        let lo = self.path_asn_offsets[id as usize] as usize;
-        let hi = self.path_asn_offsets[id as usize + 1] as usize;
-        &self.path_asns[lo..hi]
-    }
-
-    /// Materialize the interned path for a path ID. Reconstructs from the
-    /// flat pools — use [`path_view`](Self::path_view) /
-    /// [`path_hops`](Self::path_hops) on hot paths.
-    pub fn path(&self, id: u32) -> AsPath {
-        self.path_view(id).to_path()
-    }
-
-    /// `fx_hash_one` of the interned path — the checkpoint fingerprint,
-    /// computed once per unique path.
-    pub fn path_fingerprint(&self, id: u32) -> u64 {
-        self.path_fingerprints[id as usize]
-    }
-
-    /// Sorted, deduped ASN values of the interned path. The on-path test
-    /// is a binary search in this slice.
-    pub fn path_members(&self, id: u32) -> &[u32] {
-        let lo = self.member_offsets[id as usize] as usize;
-        let hi = self.member_offsets[id as usize + 1] as usize;
-        &self.members[lo..hi]
-    }
-
-    /// The whole member pool: the concatenation of every interned path's
-    /// sorted unique ASNs. One pass over this slice visits every ASN that
-    /// appears on any path (with cross-path duplicates).
-    pub fn member_values(&self) -> &[u32] {
-        &self.members
-    }
-
-    /// The exact ordered community list for a community-set ID.
-    pub fn cset(&self, id: u32) -> &[Community] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_pool[lo..hi]
     }
 
     /// The `(path ID, community-set ID)` tuple of each observation, in
@@ -667,10 +722,28 @@ mod tests {
         assert_eq!(store.obs_path_id(0), store.obs_path_id(3));
         assert_eq!(store.obs_cset_id(0), store.obs_cset_id(3));
         assert_eq!(store.path_members(store.obs_path_id(0)), &[1, 1299, 64496]);
-        assert_eq!(
-            store.path_fingerprint(0),
-            fx_hash_one(&observations[0].path)
+    }
+
+    #[test]
+    fn fingerprint_colliding_paths_intern_apart_by_either_route() {
+        // Two valid paths with one 64-bit fingerprint.
+        let a: AsPath = "213641905 64500".parse().unwrap();
+        let b: AsPath = "1456344755 537186471".parse().unwrap();
+        assert_eq!(fx_hash_one(&a), fx_hash_one(&b));
+        let mut interner = Interner::new();
+        let (id_a, id_b) = (
+            interner.intern_owned_path(&a),
+            interner.intern_owned_path(&b),
         );
+        assert_ne!(id_a, id_b);
+        assert_eq!(interner.path_collision_count(), 1);
+        let (mut segs, mut asns) = (Vec::new(), Vec::new());
+        assert_eq!(
+            interner.intern_path(&AsPathView::of(&b, &mut segs, &mut asns)),
+            id_b
+        );
+        assert_eq!(interner.intern_owned_path(&a), id_a);
+        assert_eq!((interner.path(id_a), interner.path(id_b)), (a, b));
     }
 
     #[test]
@@ -699,7 +772,6 @@ mod tests {
             let view = store.path_view(id);
             assert!(view.matches(&expected.path));
             assert_eq!(view.to_path(), expected.path);
-            assert_eq!(view.fingerprint(), store.path_fingerprint(id));
             assert_eq!(store.path(id), expected.path);
         }
         assert_eq!(store.path_hops(0), &[1, 1299, 1299, 64496, 64497, 7]);
@@ -828,10 +900,7 @@ mod tests {
             assert_eq!(owned_store.obs_cset_id(i), view_store.obs_cset_id(i));
         }
         for id in 0..owned_store.path_count() as u32 {
-            assert_eq!(
-                owned_store.path_fingerprint(id),
-                view_store.path_fingerprint(id)
-            );
+            assert_eq!(owned_store.path_view(id), view_store.path_view(id));
             assert_eq!(owned_store.path_members(id), view_store.path_members(id));
         }
     }
