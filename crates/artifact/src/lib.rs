@@ -43,7 +43,7 @@
 //! pointer casts, no alignment assumptions — so even a hostile file that
 //! somehow passed validation could only yield wrong values, never
 //! undefined behavior. The one `unsafe` block in this crate is the
-//! `mmap`/`munmap` pair itself, confined to [`backing`], and a plain
+//! `mmap`/`munmap` pair itself, confined to `backing`, and a plain
 //! heap read ([`LabelArtifact::load_heap`]) provides the same artifact
 //! with no `unsafe` at all (and is the non-unix fallback).
 
@@ -1021,11 +1021,13 @@ mod tests {
         let payload_pos = HEADER_LEN + 3;
         bytes[payload_pos] ^= 0x80;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let err = LabelArtifact::load(&path).expect_err("payload flip");
-        assert!(
-            matches!(err, ArtifactError::ChecksumMismatch { .. }),
-            "{err}"
-        );
+        for load in [LabelArtifact::load, LabelArtifact::load_heap] {
+            let err = load(&path).expect_err("payload flip");
+            assert!(
+                matches!(err, ArtifactError::ChecksumMismatch { .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

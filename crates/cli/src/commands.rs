@@ -49,13 +49,13 @@ USAGE:
                      [--trace-json FILE]
     bgpcomm watch    (--connect HOST:PORT | --unix PATH | --tail FILE)
                      [--window-secs N] [--windows N] [--checkpoint FILE]
-                     [--checkpoint-every N] [--queue-kb N] [--chunk-kb N]
-                     [--stall-ms N] [--retry-attempts N] [--quiesce-after N]
+                     [--queue-kb N] [--chunk-kb N] [--stall-ms N]
+                     [--retry-attempts N] [--quiesce-after N]
                      [--gap N] [--ratio N] [--siblings FILE] [--json FILE]
                      [--artifact-out FILE] [--max-errors N] [--report FILE]
                      [--metrics-out FILE]
     bgpcomm query    --artifact FILE [--key A:B[,A:B ...]] [--batch FILE]
-                     [--owner A] [--bench N] [--threads N] [--no-mmap]
+                     [--owner A] [--bench N] [--threads N]
                      [--check MRT[,MRT ...]] [--siblings FILE]
                      [--max-errors N] [--report FILE] [--metrics-out FILE]
                      [--trace] [--trace-json FILE]
@@ -87,7 +87,8 @@ COMMANDS:
               an archive and flag routes whose observed communities
               contradict their inferred intent (exit 7 on any anomaly).
     validate  Lint MRT archives: per-record-type counts and decode errors.
-    compare   Diff two label files from `infer --json` (drift monitoring).
+    compare   Diff two label files from `infer --json` (drift monitoring;
+              exit 7 on any intent flip).
     generate  Write a synthetic collector dataset + ground-truth dictionary.
 
 INGESTION (stats, infer):
@@ -122,7 +123,7 @@ CHECKPOINTS (infer, lenient mode):
                     with exit 4. The resumed output is bit-identical to an
                     uninterrupted run.
 
-OBSERVABILITY (stats, infer):
+OBSERVABILITY (stats, infer, shard, watch, query):
     --metrics-out FILE
                     Write a JSON metrics snapshot to FILE (`-` = stdout):
                     ingest bytes/records/retries/faults, interner occupancy,
@@ -130,8 +131,8 @@ OBSERVABILITY (stats, infer):
                     ratio histogram around the 160:1 threshold, checkpoint
                     write/verify latencies, and per-stage wall-clock totals.
                     Key order is stable; everything outside `timings` is
-                    bit-identical at any thread count. Written even when
-                    ingestion aborts, like --report.
+                    bit-identical at any thread count. Written on success
+                    and on every failure, like --report.
     --trace         Pretty-print completed spans (per-file ingest, pipeline
                     stages) to stderr, indented by nesting depth.
     --trace-json FILE
@@ -172,15 +173,14 @@ STREAMING (watch, feed):
                     over the union of the retained windows; observations
                     older than the retention floor are dropped and counted.
     --checkpoint FILE
-                    Crash-safe streaming: atomically checkpoint the stream
-                    cursor, window contents, and labels. A restarted watch
-                    with the same checkpoint resumes at the cursor with
-                    no double-counting — bit-identical at the quiescent
-                    point to an uninterrupted run. Unlike `infer`, an
-                    existing checkpoint resumes automatically (a daemon
-                    restart IS the resume path).
-    --checkpoint-every N
-                    Checkpoint every N window advances (default 1).
+                    Crash-safe streaming: at every window advance,
+                    atomically checkpoint the stream cursor, window
+                    contents, and labels. A restarted watch with the same
+                    checkpoint resumes at the cursor with no
+                    double-counting — bit-identical at the quiescent point
+                    to an uninterrupted run. Unlike `infer`, an existing
+                    checkpoint resumes automatically (a daemon restart IS
+                    the resume path).
     --queue-kb N / --chunk-kb N
                     Bounded ingest queue: at most N KiB buffered between
                     the delivery thread and the fold loop (default 4096),
@@ -223,8 +223,6 @@ SERVING (infer, shard, watch, query):
     --bench N       (query) Self-driving benchmark: N deterministic
                     single-key lookups (~1/16 misses) plus the same keys
                     through the batch API; prints Mlookups/s for both.
-    --no-mmap       (query) Load the artifact onto the heap instead of
-                    memory-mapping it (the mmap path is the default).
     --check MRT     (query) Stream archive(s) and flag routes whose
                     communities contradict their inferred intent class:
                     a never-off-path information community seen off-path,
@@ -257,9 +255,9 @@ FAULT INJECTION (testing the supervision layer):
 EXIT CODES:
     0  success                        5  failed shards exceeded allowance
     1  usage or generic error         6  stream aborted (budget exhausted)
-    2  decode error in --strict mode  7  anomalies found (query --check)
-    3  ingestion aborted              9  injected crash
-    4  checkpoint/artifact refused
+    2  decode error in --strict mode  7  anomalies (query --check) or
+    3  ingestion aborted                 intent flips (compare)
+    4  checkpoint/artifact refused    9  injected crash
 ";
 
 // The process exit-code contract, consolidated (mirrored in DESIGN.md and
@@ -274,7 +272,7 @@ EXIT CODES:
 // | 4    | `EXIT_CHECKPOINT` | checkpoint or label artifact refused (corrupt)   |
 // | 5    | `EXIT_SHARD`      | permanently failed shards exceeded the allowance |
 // | 6    | `EXIT_STREAM`     | watch stream aborted (reconnect/decode budget)   |
-// | 7    | `EXIT_ANOMALY`    | `query --check` found intent contradictions      |
+// | 7    | `EXIT_ANOMALY`    | `query --check` contradictions, `compare` flips  |
 // | 9    | `EXIT_CRASH`      | deliberate `--inject-crash-after` kill hook      |
 
 /// Exit code for a usage error or any otherwise-unclassified failure.
@@ -295,7 +293,8 @@ pub const EXIT_SHARD: u8 = 5;
 /// decode error budget ran out before shutdown or the quiescent point.
 pub const EXIT_STREAM: u8 = 6;
 /// Exit code when `query --check` found at least one route whose observed
-/// communities contradict their inferred intent class.
+/// communities contradict their inferred intent class, or `compare` found
+/// at least one intent flip.
 pub const EXIT_ANOMALY: u8 = 7;
 /// Exit code of the deliberate `--inject-crash-after` kill hook.
 pub const EXIT_CRASH: u8 = 9;
@@ -346,6 +345,18 @@ impl Failure {
             code,
         }
     }
+
+    /// A refused input file (checkpoint or label artifact): exit 4 when
+    /// the file was read and its contents were rejected, exit 1 for any
+    /// other I/O failure.
+    fn refused(invalid_data: bool, message: String) -> Self {
+        let code = if invalid_data {
+            EXIT_CHECKPOINT
+        } else {
+            EXIT_USAGE
+        };
+        Failure::new(code, message)
+    }
 }
 
 impl From<String> for Failure {
@@ -363,86 +374,110 @@ impl From<&str> for Failure {
     }
 }
 
-fn mrt_files(args: &Args) -> Result<Vec<String>, String> {
-    // Accept both the repeated form (--mrt a --mrt b) and comma-separated
-    // values within one flag.
-    let all = args.get_all("mrt");
-    if all.is_empty() {
-        return Err("at least one --mrt FILE is required".into());
-    }
-    Ok(all
+/// Every value of a list flag, in both the repeated form (`--mrt a --mrt
+/// b`) and comma-separated within one flag.
+fn list_values(args: &Args, name: &str) -> Vec<String> {
+    args.get_all(name)
         .iter()
         .flat_map(|v| v.split(','))
         .map(str::to_string)
-        .collect())
+        .collect()
 }
 
-/// Ingestion policy assembled from `--strict`, `--max-errors`, `--report`,
-/// `--threads`, the retry knob, and the fault-injection hooks. `--strict`
-/// is an error budget of zero; the flag itself is kept only to pick its
-/// exit code and to refuse the modes that need lenient ingestion.
+fn mrt_files(args: &Args) -> Result<Vec<String>, String> {
+    let all = list_values(args, "mrt");
+    if all.is_empty() {
+        return Err("at least one --mrt FILE is required".into());
+    }
+    Ok(all)
+}
+
+/// Ingestion policy assembled from `--strict`, `--max-errors`, `--threads`,
+/// the retry knob, and the fault-injection hooks. `--strict` is an error
+/// budget of zero; the flag itself is kept only to pick its exit code and
+/// to refuse the modes that need lenient ingestion.
 struct IngestOptions {
     strict: bool,
     recover: RecoverConfig,
     tuning: IngestTuning,
-    report_path: Option<String>,
     threads: usize,
 }
 
 impl IngestOptions {
     fn from_args(args: &Args) -> Result<Self, String> {
         let strict = args.flag("strict");
-        let mut recover = RecoverConfig::default();
-        if strict {
-            recover.max_errors = Some(0);
+        let max_errors = args.get_opt("max-errors")?;
+        if strict && max_errors.is_some() {
+            return Err("--strict and --max-errors are mutually exclusive".into());
         }
-        if let Some(raw) = args.get_str("max-errors") {
-            let limit: u64 = raw
-                .parse()
-                .map_err(|e| format!("--max-errors {raw}: {e}"))?;
-            if strict {
-                return Err("--strict and --max-errors are mutually exclusive".into());
-            }
-            recover.max_errors = Some(limit);
-        }
+        let recover = RecoverConfig {
+            max_errors: if strict { Some(0) } else { max_errors },
+            ..RecoverConfig::default()
+        };
         let mut tuning = IngestTuning::default();
         tuning.retry.max_attempts = args.get("retry-attempts", tuning.retry.max_attempts)?;
         if tuning.retry.max_attempts == 0 {
             return Err("--retry-attempts must be at least 1".into());
         }
-        if let Some(raw) = args.get_str("inject-panic-after") {
-            let n: u64 = raw
-                .parse()
-                .map_err(|e| format!("--inject-panic-after {raw}: {e}"))?;
-            tuning.panic_after_records = Some(n);
-        }
-        if let Some(raw) = args.get_str("inject-flaky") {
-            let seed: u64 = raw
-                .parse()
-                .map_err(|e| format!("--inject-flaky {raw}: {e}"))?;
-            tuning.flaky = Some(FlakyConfig {
-                seed,
-                ..FlakyConfig::default()
-            });
-        }
+        tuning.panic_after_records = args.get_opt("inject-panic-after")?;
+        tuning.flaky = args.get_opt("inject-flaky")?.map(|seed| FlakyConfig {
+            seed,
+            ..FlakyConfig::default()
+        });
         Ok(IngestOptions {
             strict,
             recover,
             tuning,
-            report_path: args.get_str("report").map(str::to_string),
             threads: args.get("threads", 0usize)?,
         })
     }
+
+    /// Refuse `--strict` for a mode that needs lenient ingestion (it
+    /// commits or streams partial progress).
+    fn require_lenient(&self, mode: &str) -> Result<(), String> {
+        if self.strict {
+            return Err(format!(
+                "{mode} runs lenient ingestion only (drop --strict)"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The failure for an aborted ingest: exit 2 under `--strict` (its
+    /// budget of zero names the first decode error), exit 3 otherwise
+    /// (error budget exceeded, unrecoverable I/O).
+    fn aborted(&self, why: String) -> Failure {
+        if self.strict {
+            Failure::new(EXIT_DECODE, format!("parse {why}"))
+        } else {
+            Failure::new(EXIT_ABORTED, format!("ingestion aborted: {why}"))
+        }
+    }
 }
 
-/// `--metrics-out` / `--trace` / `--trace-json` policy: the assembled
-/// [`Telemetry`] bundle plus where to write the metrics snapshot.
-struct TelemetryOptions {
+/// A command's accounting: the [`Telemetry`] bundle `--trace` and
+/// `--trace-json` configure, and where `--metrics-out` and `--report` go.
+/// [`Accounting::run`] is the one exit path of every command that takes
+/// them.
+struct Accounting {
     telemetry: Telemetry,
     metrics_out: Option<String>,
+    report_out: Option<String>,
 }
 
-impl TelemetryOptions {
+impl Accounting {
+    /// Set up the accounting, run `body` under it, then write
+    /// `--metrics-out` whether `body` succeeded or failed. If both fail,
+    /// the command's own failure is the one reported.
+    fn run(
+        args: &Args,
+        body: impl FnOnce(&Accounting) -> Result<(), Failure>,
+    ) -> Result<(), Failure> {
+        let acct = Accounting::from_args(args)?;
+        let outcome = body(&acct);
+        outcome.and(acct.write_metrics())
+    }
+
     fn from_args(args: &Args) -> Result<Self, Failure> {
         let metrics_out = args.get_str("metrics-out").map(str::to_string);
         let tracer = if let Some(path) = args.get_str("trace-json") {
@@ -461,29 +496,46 @@ impl TelemetryOptions {
         let metrics = metrics_out
             .is_some()
             .then(|| Arc::new(MetricsRegistry::new()));
-        Ok(TelemetryOptions {
+        Ok(Accounting {
             telemetry: Telemetry { tracer, metrics },
             metrics_out,
+            report_out: args.get_str("report").map(str::to_string),
         })
     }
 
-    /// Honor `--metrics-out FILE` (or `-` for stdout) with a snapshot of
-    /// everything recorded so far. Like `--report`, this also runs when
-    /// the command fails, so aborted ingests still leave their accounting.
+    /// Honor `--metrics-out` with a snapshot of everything recorded so far.
     fn write_metrics(&self) -> Result<(), Failure> {
-        let (Some(path), Some(snapshot)) = (&self.metrics_out, self.telemetry.snapshot()) else {
-            return Ok(());
-        };
-        let json = serde_json::to_string_pretty(&snapshot)
-            .map_err(|e| format!("serialize metrics: {e}"))?;
-        if path == "-" {
-            println!("{json}");
-        } else {
-            std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote metrics snapshot to {path}");
+        match (&self.metrics_out, self.telemetry.snapshot()) {
+            (Some(path), Some(snapshot)) => write_json_out(
+                path,
+                "metrics snapshot",
+                serde_json::to_string_pretty(&snapshot),
+            ),
+            _ => Ok(()),
         }
-        Ok(())
     }
+
+    /// Honor `--report` with the command's ingest report.
+    fn report(&self, report: &IngestReport) -> Result<(), Failure> {
+        match &self.report_out {
+            Some(path) => {
+                write_json_out(path, "ingest report", serde_json::to_string_pretty(report))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+/// Write serialized JSON to `path`, or to stdout when `path` is `-`.
+fn write_json_out(path: &str, what: &str, json: serde_json::Result<String>) -> Result<(), Failure> {
+    let json = json.map_err(|e| format!("serialize {what}: {e}"))?;
+    if path == "-" {
+        println!("{json}");
+    } else {
+        std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("wrote {what} to {path}");
+    }
+    Ok(())
 }
 
 /// Load observations from every `--mrt` file under the chosen policy.
@@ -492,14 +544,12 @@ impl TelemetryOptions {
 /// them in input order reproduces the sequential single-sink read, so no
 /// flat `Vec<Observation>` is ever materialized. The merged
 /// [`IngestReport`] is written (`--report`) before any failure is
-/// returned, so scripts still get the accounting. An aborted ingest is
-/// exit code 2 under `--strict` (its budget of zero names the first decode
-/// error) and exit code 3 otherwise (error budget exceeded, unrecoverable
-/// I/O).
+/// returned, so scripts still get the accounting; an aborted ingest fails
+/// as [`IngestOptions::aborted`] says.
 fn load_observations(
     paths: &[String],
     opts: &IngestOptions,
-    tel: &Telemetry,
+    acct: &Accounting,
 ) -> Result<(ObservationStore, IngestReport), Failure> {
     // Unreadable input is a usage error (exit 1) in both modes, checked up
     // front so it is reported before any decode work fans out.
@@ -512,7 +562,7 @@ fn load_observations(
         &opts.recover,
         &opts.tuning,
         opts.threads,
-        tel,
+        &acct.telemetry,
     );
     let mut store = ObservationStore::new();
     let mut aborted: Option<String> = None;
@@ -527,31 +577,11 @@ fn load_observations(
         }
         store.merge(&file.store);
     }
-    write_report(&merged, opts)?;
+    let written = acct.report(&merged);
     match aborted {
-        Some(why) if opts.strict => Err(Failure::new(EXIT_DECODE, format!("parse {why}"))),
-        Some(why) => Err(Failure::new(
-            EXIT_ABORTED,
-            format!("ingestion aborted: {why}"),
-        )),
-        None => Ok((store, merged)),
+        Some(why) => Err(opts.aborted(why)),
+        None => written.map(|()| (store, merged)),
     }
-}
-
-/// Honor `--report FILE` (or `-` for stdout) with the merged ingest report.
-fn write_report(report: &IngestReport, opts: &IngestOptions) -> Result<(), Failure> {
-    let Some(path) = &opts.report_path else {
-        return Ok(());
-    };
-    let json =
-        serde_json::to_string_pretty(report).map_err(|e| format!("serialize report: {e}"))?;
-    if path == "-" {
-        println!("{json}");
-    } else {
-        std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote ingest report to {path}");
-    }
-    Ok(())
 }
 
 fn load_siblings(args: &Args) -> Result<SiblingMap, String> {
@@ -568,12 +598,11 @@ fn load_siblings(args: &Args) -> Result<SiblingMap, String> {
 pub fn stats(raw: Vec<String>) -> Result<(), Failure> {
     let args = Args::parse(raw)?;
     let opts = IngestOptions::from_args(&args)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let loaded = load_observations(&mrt_files(&args)?, &opts, &topts.telemetry);
-    // Snapshot whatever ingestion recorded even when it aborted, so
-    // scripts get the accounting either way (same contract as --report).
-    topts.write_metrics()?;
-    let (store, report) = loaded?;
+    Accounting::run(&args, |acct| stats_accounted(&args, &opts, acct))
+}
+
+fn stats_accounted(args: &Args, opts: &IngestOptions, acct: &Accounting) -> Result<(), Failure> {
+    let (store, report) = load_observations(&mrt_files(args)?, opts, acct)?;
 
     // Everything falls out of the interners: paths and community sets are
     // already deduped, tuples dedup over dense ID pairs, and the scalar
@@ -631,17 +660,10 @@ impl CheckpointOptions {
             }
             return Ok(None);
         };
-        let crash_after = match args.get_str("inject-crash-after") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| format!("--inject-crash-after {raw}: {e}"))?,
-            ),
-        };
         Ok(Some(CheckpointOptions {
             path: PathBuf::from(path),
             resume: args.flag("resume"),
-            crash_after,
+            crash_after: args.get_opt("inject-crash-after")?,
         }))
     }
 }
@@ -667,16 +689,8 @@ fn open_checkpoint(ckpt: &CheckpointOptions) -> Result<Checkpoint, Failure> {
             ),
         ));
     }
-    Checkpoint::load(&ckpt.path).map_err(|e| {
-        // A corrupt or schema-incompatible checkpoint is the same refusal
-        // as a fingerprint mismatch; a plain I/O failure is generic.
-        let code = if e.is_invalid_data() {
-            EXIT_CHECKPOINT
-        } else {
-            EXIT_USAGE
-        };
-        Failure::new(code, format!("load checkpoint: {e}"))
-    })
+    Checkpoint::load(&ckpt.path)
+        .map_err(|e| Failure::refused(e.is_invalid_data(), format!("load checkpoint: {e}")))
 }
 
 /// The crash-safe incremental `infer` path: ingest file-by-file into a
@@ -691,13 +705,10 @@ fn infer_checkpointed(
     cfg: &InferenceConfig,
     dict: Option<&GroundTruthDictionary>,
     ckpt: &CheckpointOptions,
-    tel: &Telemetry,
+    acct: &Accounting,
 ) -> Result<PipelineResult, Failure> {
-    if opts.strict {
-        return Err(Failure::from(
-            "--checkpoint requires lenient ingestion (drop --strict)",
-        ));
-    }
+    opts.require_lenient("infer --checkpoint")?;
+    let tel = &acct.telemetry;
     let mut checkpoint = open_checkpoint(ckpt)?;
 
     // A recorded file missing from the inputs means this is a different
@@ -816,13 +827,11 @@ fn infer_checkpointed(
         }
     }
 
-    write_report(&merged, opts)?;
+    let written = acct.report(&merged);
     if let Some(why) = aborted {
-        return Err(Failure::new(
-            EXIT_ABORTED,
-            format!("ingestion aborted: {why}"),
-        ));
+        return Err(opts.aborted(why));
     }
+    written?;
     Ok(run_inference_from_stats_telemetry(
         checkpoint.snapshot.to_stats(),
         siblings,
@@ -972,10 +981,8 @@ pub fn infer(raw: Vec<String>) -> Result<(), Failure> {
     let cfg = inference_config(&args, opts.threads)?;
     let dict = load_dict(&args)?;
 
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
-    let run = || -> Result<PipelineResult, Failure> {
-        match CheckpointOptions::from_args(&args)? {
+    Accounting::run(&args, |acct| {
+        let result = match CheckpointOptions::from_args(&args)? {
             Some(ckpt) => infer_checkpointed(
                 &mrt_files(&args)?,
                 &opts,
@@ -983,29 +990,19 @@ pub fn infer(raw: Vec<String>) -> Result<(), Failure> {
                 &cfg,
                 dict.as_ref(),
                 &ckpt,
-                tel,
-            ),
+                acct,
+            )?,
             None => {
-                let (store, report) = load_observations(&mrt_files(&args)?, &opts, tel)?;
+                let (store, report) = load_observations(&mrt_files(&args)?, &opts, acct)?;
+                let tel = &acct.telemetry;
                 let mut result =
                     run_inference_store_telemetry(&store, &siblings, &cfg, dict.as_ref(), tel);
                 result.ingest = Some(report);
-                Ok(result)
+                result
             }
-        }
-    };
-    let result = match run() {
-        Ok(result) => result,
-        Err(failure) => {
-            // Aborted runs still leave their accounting (same contract as
-            // --report); the original failure wins over a write error.
-            let _ = topts.write_metrics();
-            return Err(failure);
-        }
-    };
-    print_inference(&args, &result)?;
-    topts.write_metrics()?;
-    Ok(())
+        };
+        print_inference(&args, &result)
+    })
 }
 
 /// `bgpcomm shard-worker` — one shard of a supervised `shard` run
@@ -1020,25 +1017,11 @@ pub fn infer(raw: Vec<String>) -> Result<(), Failure> {
 pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
     let args = Args::parse(raw)?;
     let opts = IngestOptions::from_args(&args)?;
-    if opts.strict {
-        return Err("shard-worker runs lenient ingestion only (drop --strict)".into());
-    }
+    opts.require_lenient("shard-worker")?;
     let out = PathBuf::from(args.get_str("out").ok_or("--out FILE is required")?);
     let heartbeat = args.get_str("heartbeat").map(PathBuf::from);
-    let crash_after: Option<u64> = match args.get_str("inject-crash-after") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-crash-after {raw}: {e}"))?,
-        ),
-    };
-    let stall_ms: Option<u64> = match args.get_str("inject-stall-ms") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-stall-ms {raw}: {e}"))?,
-        ),
-    };
+    let crash_after: Option<u64> = args.get_opt("inject-crash-after")?;
+    let stall_ms: Option<u64> = args.get_opt("inject-stall-ms")?;
     let siblings = load_siblings(&args)?;
     let paths = mrt_files(&args)?;
 
@@ -1125,14 +1108,10 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
 
     let args = Args::parse(raw)?;
     let opts = IngestOptions::from_args(&args)?;
-    if opts.strict {
-        return Err("shard runs lenient ingestion only (drop --strict)".into());
-    }
+    opts.require_lenient("shard")?;
     let siblings = load_siblings(&args)?;
     let cfg = inference_config(&args, opts.threads)?;
     let dict = load_dict(&args)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
 
     let parse_indices = |name: &str| -> Result<Vec<usize>, String> {
         args.get_all(name)
@@ -1141,7 +1120,8 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             .collect()
     };
 
-    let run = || -> Result<PipelineResult, Failure> {
+    Accounting::run(&args, |acct| {
+        let tel = &acct.telemetry;
         let paths = mrt_files(&args)?;
         // Unreadable input is a usage error here, not N worker failures.
         for path in &paths {
@@ -1325,7 +1305,7 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             // actually made it into the merge here.
             metrics.counter("ingest/files").add(covered_files);
         }
-        write_report(&merged, &opts)?;
+        let written = acct.report(&merged);
         if SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
             return Err(Failure::new(
                 EXIT_ABORTED,
@@ -1348,33 +1328,23 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
                 ),
             ));
         }
+        written?;
         if failed > 0 {
             eprintln!(
                 "continuing without {failed} failed shard(s): {} file(s) / {} byte(s) not covered",
                 merged.files_lost, merged.bytes_lost
             );
         }
-        Ok(run_inference_from_stats_telemetry(
+        let result = run_inference_from_stats_telemetry(
             accumulator.to_stats(),
             &siblings,
             &cfg,
             dict.as_ref(),
             Some(merged),
             tel,
-        ))
-    };
-    let result = match run() {
-        Ok(result) => result,
-        Err(failure) => {
-            // Same contract as `infer`: failed runs still leave their
-            // accounting, and the original failure wins over a write error.
-            let _ = topts.write_metrics();
-            return Err(failure);
-        }
-    };
-    print_inference(&args, &result)?;
-    topts.write_metrics()?;
-    Ok(())
+        );
+        print_inference(&args, &result)
+    })
 }
 
 /// A boxed stream source, so `watch` can pick TCP / unix socket / file
@@ -1394,21 +1364,29 @@ impl bgp_mrt::StreamSource for DynSource {
 
 /// `bgpcomm watch` — the streaming inference daemon.
 pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
+    let args = Args::parse(raw)?;
+    let iopts = IngestOptions::from_args(&args)?;
+    iopts.require_lenient("watch")?;
+    let siblings = load_siblings(&args)?;
+    let cfg = inference_config(&args, iopts.threads)?;
+    Accounting::run(&args, |acct| {
+        watch_accounted(&args, &iopts, &siblings, cfg, acct)
+    })
+}
+
+fn watch_accounted(
+    args: &Args,
+    iopts: &IngestOptions,
+    siblings: &SiblingMap,
+    cfg: InferenceConfig,
+    acct: &Accounting,
+) -> Result<(), Failure> {
     use bgp_intent::{run_watch, WatchOptions, WindowConfig};
     use bgp_mrt::{
         FaultyFeed, FeedAddr, FileTailFeed, SocketFeed, StreamFaultConfig, StreamTuning,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
-
-    let args = Args::parse(raw)?;
-    let iopts = IngestOptions::from_args(&args)?;
-    if iopts.strict {
-        return Err("watch runs lenient ingestion only (drop --strict)".into());
-    }
-    let siblings = load_siblings(&args)?;
-    let cfg = inference_config(&args, iopts.threads)?;
-    let topts = TelemetryOptions::from_args(&args)?;
 
     let stall_ms: u64 = args.get("stall-ms", 2000u64)?;
     let stall = Duration::from_millis(stall_ms.max(1));
@@ -1463,29 +1441,7 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
         ..StreamTuning::default()
     };
     tuning.retry.max_attempts = iopts.tuning.retry.max_attempts;
-    tuning.quiesce_after = match args.get_str("quiesce-after") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--quiesce-after {raw}: {e}"))?,
-        ),
-    };
-
-    let parse_ms = |name: &str| -> Result<Option<Duration>, String> {
-        match args.get_str(name) {
-            None => Ok(None),
-            Some(raw) => Ok(Some(Duration::from_millis(
-                raw.parse().map_err(|e| format!("--{name} {raw}: {e}"))?,
-            ))),
-        }
-    };
-    let crash_after_windows = match args.get_str("inject-crash-after-windows") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-crash-after-windows {raw}: {e}"))?,
-        ),
-    };
+    tuning.quiesce_after = args.get_opt("quiesce-after")?;
     let opts = WatchOptions {
         window: WindowConfig {
             window_secs: args.get("window-secs", 3600u32)?.max(1),
@@ -1495,10 +1451,9 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
         tuning,
         recover: iopts.recover.clone(),
         checkpoint: args.get_str("checkpoint").map(PathBuf::from),
-        checkpoint_every: args.get("checkpoint-every", 1u64)?,
-        metrics: topts.telemetry.metrics.clone(),
-        slow_fold: parse_ms("slow-fold-ms")?,
-        crash_after_windows,
+        metrics: acct.telemetry.metrics.clone(),
+        slow_fold: args.get_opt("slow-fold-ms")?.map(Duration::from_millis),
+        crash_after_windows: args.get_opt("inject-crash-after-windows")?,
     };
 
     // Bridge the process-global signal flag into the Arc the stream layer
@@ -1526,20 +1481,13 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "disabled".into()),
     );
-    let outcome = match run_watch(source, &siblings, &opts, shutdown) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            let _ = topts.write_metrics();
-            let code = match e.kind() {
-                std::io::ErrorKind::ConnectionAborted => EXIT_STREAM,
-                std::io::ErrorKind::InvalidData | std::io::ErrorKind::InvalidInput => {
-                    EXIT_CHECKPOINT
-                }
-                _ => EXIT_USAGE,
-            };
-            return Err(Failure::new(code, format!("watch: {e}")));
-        }
-    };
+    let outcome = run_watch(source, siblings, &opts, shutdown)
+        .map_err(|e| Failure::refused(e.is_invalid_data(), format!("watch: {e}")))?;
+    if let Some(why) = &outcome.report.aborted {
+        // The abort is the failure reported, even if the report write fails.
+        let _ = acct.report(&outcome.report);
+        return Err(Failure::new(EXIT_STREAM, format!("watch: {why}")));
+    }
 
     if outcome.resumed {
         eprintln!(
@@ -1570,14 +1518,13 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     if !outcome.report.is_clean() {
         println!("ingest degradation   : {}", outcome.report.summary());
     }
-    write_report(&outcome.report, &iopts)?;
+    acct.report(&outcome.report)?;
     if let Some(path) = args.get_str("json") {
         write_labels_json(path, &outcome.inference, opts.infer.ratio_threshold)?;
     }
     if let Some(path) = args.get_str("artifact-out") {
         write_artifact_out(path, &outcome.inference, opts.infer.ratio_threshold)?;
     }
-    topts.write_metrics()?;
     Ok(())
 }
 
@@ -1594,37 +1541,23 @@ const LOOKUP_LATENCY_BOUNDS: &[u64] = &[100, 250, 500, 1_000, 2_500, 5_000, 10_0
 /// and `--check` — stream MRT archive(s) and flag routes whose observed
 /// communities contradict their inferred intent class (exit 7 if any).
 pub fn query(raw: Vec<String>) -> Result<(), Failure> {
+    let args = Args::parse(raw)?;
+    Accounting::run(&args, |acct| query_accounted(&args, acct))
+}
+
+fn query_accounted(args: &Args, acct: &Accounting) -> Result<(), Failure> {
     use std::time::Instant;
 
-    let args = Args::parse(raw)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
+    let tel = &acct.telemetry;
     let threads: usize = args.get("threads", 0usize)?;
 
     let path = args
         .get_str("artifact")
         .ok_or("--artifact FILE is required")?;
-    let load = || {
-        if args.flag("no-mmap") {
-            LabelArtifact::load_heap(Path::new(path))
-        } else {
-            LabelArtifact::load(Path::new(path))
-        }
-    };
-    let artifact = match tel.stage("query_load", load) {
-        Ok(a) => a,
-        Err(e) => {
-            // A refused artifact is the same failure class as a refused
-            // checkpoint (exit 4); an unreadable path is a usage error.
-            let code = if e.is_invalid_data() {
-                EXIT_CHECKPOINT
-            } else {
-                EXIT_USAGE
-            };
-            let _ = topts.write_metrics();
-            return Err(Failure::new(code, format!("query: {e}")));
-        }
-    };
+    // A refused artifact is the same failure class as a refused checkpoint.
+    let artifact = tel
+        .stage("query_load", || LabelArtifact::load(Path::new(path)))
+        .map_err(|e| Failure::refused(e.is_invalid_data(), format!("query: {e}")))?;
     eprintln!(
         "artifact: {} labels across {} owners from {path} ({})",
         artifact.len(),
@@ -1668,11 +1601,7 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
     let mut ran_operation = false;
 
     // --key A:B[,A:B ...] (repeatable): point lookups through `get`.
-    let key_specs: Vec<&str> = args
-        .get_all("key")
-        .iter()
-        .flat_map(|v| v.split(','))
-        .collect();
+    let key_specs = list_values(args, "key");
     if !key_specs.is_empty() {
         ran_operation = true;
         for spec in key_specs {
@@ -1773,23 +1702,12 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             "query: use --check FILE (not --mrt) for anomaly checking",
         ));
     }
-    let check_files: Vec<String> = args
-        .get_all("check")
-        .iter()
-        .flat_map(|v| v.split(','))
-        .map(str::to_string)
-        .collect();
+    let check_files = list_values(args, "check");
     if !check_files.is_empty() {
         ran_operation = true;
-        let iopts = IngestOptions::from_args(&args)?;
-        let siblings = load_siblings(&args)?;
-        let (store, _report) = match load_observations(&check_files, &iopts, tel) {
-            Ok(loaded) => loaded,
-            Err(failure) => {
-                let _ = topts.write_metrics();
-                return Err(failure);
-            }
-        };
+        let iopts = IngestOptions::from_args(args)?;
+        let siblings = load_siblings(args)?;
+        let (store, _report) = load_observations(&check_files, &iopts, acct)?;
         let report = tel.stage("query_check", || check_store(&artifact, &store, &siblings));
         if let Some(r) = tel.registry() {
             r.counter("query/check_observations")
@@ -1813,7 +1731,6 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             report.anomalies.len(),
         );
         if !report.anomalies.is_empty() {
-            topts.write_metrics()?;
             return Err(Failure::new(
                 EXIT_ANOMALY,
                 format!(
@@ -1829,7 +1746,6 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             "query: nothing to do — give --key, --batch, --owner, --bench, or --check",
         ));
     }
-    topts.write_metrics()?;
     Ok(())
 }
 
@@ -2086,11 +2002,14 @@ pub fn compare(raw: Vec<String>) -> Result<(), Failure> {
         println!("  ... and {} more", flipped.len() - 20);
     }
     // Flips are the anomaly signal (§4: coarse categories were stable
-    // 2007 -> 2023); surface them in the exit code for scripting.
+    // 2007 -> 2023); surface them in their own exit code for scripting.
     if flipped.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} intent flip(s) detected", flipped.len()).into())
+        Err(Failure::new(
+            EXIT_ANOMALY,
+            format!("{} intent flip(s) detected", flipped.len()),
+        ))
     }
 }
 

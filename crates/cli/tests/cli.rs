@@ -136,14 +136,19 @@ fn compare_detects_flips_and_churn() {
         .to_string(),
     )
     .unwrap();
-    let (stdout, _, ok) = run(bgpcomm().args([
-        "compare",
-        "--old",
-        old.to_str().unwrap(),
-        "--new",
-        new.to_str().unwrap(),
-    ]));
-    assert!(!ok, "flips must fail the exit code");
+    let out = bgpcomm()
+        .args([
+            "compare",
+            "--old",
+            old.to_str().unwrap(),
+            "--new",
+            new.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn bgpcomm");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Flips exit 7 (EXIT_ANOMALY), apart from a usage error's 1.
+    assert_eq!(out.status.code(), Some(7), "flips must fail the exit code");
     assert!(stdout.contains("appeared       : 1"), "{stdout}");
     assert!(stdout.contains("disappeared    : 1"), "{stdout}");
     assert!(stdout.contains("intent flips   : 1"), "{stdout}");
@@ -159,6 +164,19 @@ fn compare_detects_flips_and_churn() {
     ]));
     assert!(ok, "{stdout}");
     assert!(stdout.contains("intent flips   : 0"));
+
+    // A missing label file is a usage error, not a flip.
+    let out = bgpcomm()
+        .args([
+            "compare",
+            "--old",
+            dir.join("missing.json").to_str().unwrap(),
+            "--new",
+            new.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn bgpcomm");
+    assert_eq!(out.status.code(), Some(1), "a missing label file exits 1");
 }
 
 #[test]

@@ -15,6 +15,7 @@ use bgp_mrt::obs::write_update_stream;
 use bgp_types::{Asn, Community, Observation};
 
 const EXIT_ABORTED: i32 = 3;
+const EXIT_STREAM: i32 = 6;
 const EXIT_CRASH: i32 = 9;
 
 fn bgpcomm(args: &[&str]) -> Output {
@@ -386,6 +387,50 @@ fn watch_refuses_a_checkpoint_with_different_window_geometry() {
     let _ = feed.wait();
     assert_eq!(out.status.code(), Some(4), "{}", stderr_of(&out));
     assert!(stderr_of(&out).contains("geometry"), "{}", stderr_of(&out));
+}
+
+#[test]
+fn an_aborted_stream_still_writes_its_report_and_metrics() {
+    let dir = workdir("abort");
+    let path = &archives(&dir, 1, 200)[0];
+    let mut bytes = fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid..mid + 48].fill(0xee);
+    fs::write(path, &bytes).unwrap();
+    let report = dir.join("abort-report.json");
+    let out = bgpcomm(&[
+        "watch",
+        "--tail",
+        path.to_str().unwrap(),
+        "--quiesce-after",
+        "1",
+        "--max-errors",
+        "0",
+        "--report",
+        report.to_str().unwrap(),
+        "--metrics-out",
+        dir.join("abort-metrics.json").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(EXIT_STREAM), "{}", stderr_of(&out));
+    let report: serde_json::Value =
+        serde_json::from_slice(&read(&dir, "abort-report.json")).unwrap();
+    assert!(!report["aborted"].is_null(), "{report}");
+    assert_eq!(
+        report["errors"]["budget_exceeded"].as_u64(),
+        Some(1),
+        "{report}"
+    );
+    let c = counters(&dir, "abort");
+    assert_eq!(
+        c["ingest/errors/budget_exceeded"].as_u64(),
+        Some(1),
+        "{c:?}"
+    );
+    assert_eq!(
+        c["ingest/records_read"].as_u64(),
+        report["records_read"].as_u64(),
+        "{c:?}"
+    );
 }
 
 #[test]

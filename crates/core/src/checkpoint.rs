@@ -370,15 +370,6 @@ impl std::error::Error for CheckpointLoadError {
     }
 }
 
-impl From<CheckpointLoadError> for io::Error {
-    fn from(e: CheckpointLoadError) -> io::Error {
-        match e {
-            CheckpointLoadError::Io { source, .. } => source,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics state to resume from.
 ///

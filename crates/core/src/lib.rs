@@ -102,5 +102,6 @@ pub use supervisor::{
     ShardFailureKind, ShardOutcome, ShardSpec, SupervisorConfig,
 };
 pub use watch::{
-    run_watch, WatchCheckpoint, WatchOptions, WatchOutcome, WindowConfig, WindowedClassifier,
+    run_watch, WatchCheckpoint, WatchError, WatchOptions, WatchOutcome, WindowConfig,
+    WindowedClassifier,
 };

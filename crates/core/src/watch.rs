@@ -23,9 +23,9 @@
 //!   an uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
 //!   [`ResumingStream`] (bounded queue, backpressure, reconnect, stall
-//!   detection), advance-before-fold window maintenance, checkpoint
-//!   cadence in window advances, and a graceful-shutdown path that flushes
-//!   a valid checkpoint before reporting.
+//!   detection), advance-before-fold window maintenance, a checkpoint at
+//!   every window advance, and a graceful-shutdown path that flushes a
+//!   valid checkpoint before reporting.
 //!
 //! # Why the cumulative accumulator is the recovery substrate
 //!
@@ -41,6 +41,7 @@
 //! bytes — the invariant the streaming CI job pins with `cmp`.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -622,7 +623,7 @@ impl Sealed for WatchCheckpoint {
 }
 
 /// Everything [`run_watch`] needs beyond the source and sibling map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WatchOptions {
     /// Sliding-window geometry.
     pub window: WindowConfig,
@@ -632,11 +633,9 @@ pub struct WatchOptions {
     pub tuning: StreamTuning,
     /// Decode resilience policy (error budget, resync bounds).
     pub recover: RecoverConfig,
-    /// Checkpoint manifest path; `None` disables checkpointing (and
-    /// resume).
+    /// Checkpoint manifest path, written at every window advance; `None`
+    /// disables checkpointing (and resume).
     pub checkpoint: Option<PathBuf>,
-    /// Window advances between checkpoints (minimum 1).
-    pub checkpoint_every: u64,
     /// Metrics registry to record `watch/*`, `classify/*`, `stream/*`, and
     /// `ingest/*` series into.
     pub metrics: Option<Arc<MetricsRegistry>>,
@@ -647,22 +646,6 @@ pub struct WatchOptions {
     /// checkpoint flush, no cleanup) at the first record boundary after
     /// this many total window advances.
     pub crash_after_windows: Option<u64>,
-}
-
-impl Default for WatchOptions {
-    fn default() -> Self {
-        WatchOptions {
-            window: WindowConfig::default(),
-            infer: InferenceConfig::default(),
-            tuning: StreamTuning::default(),
-            recover: RecoverConfig::default(),
-            checkpoint: None,
-            checkpoint_every: 1,
-            metrics: None,
-            slow_fold: None,
-            crash_after_windows: None,
-        }
-    }
 }
 
 /// What a watch run produced (at shutdown or the quiescent point).
@@ -691,12 +674,52 @@ pub struct WatchOutcome {
     /// Full classification of the cumulative statistics — the object the
     /// batch-parity check compares against a batch run.
     pub inference: Inference,
-    /// Decode accounting.
+    /// Decode accounting. `aborted` is set when the stream aborted (the
+    /// reconnect or decode error budget ran out); the run still reports,
+    /// but flushes no final checkpoint.
     pub report: IngestReport,
     /// Delivery-layer counters (reconnects, stalls, backpressure, queue
     /// peak).
     pub counters: Arc<StreamCounters>,
 }
+
+/// Why [`run_watch`] refused to start or could not finish. An aborted
+/// stream is not one of them: it ends the run with
+/// [`IngestReport::aborted`] set, as the batch readers report it.
+#[derive(Debug)]
+pub enum WatchError {
+    /// The checkpoint could not be loaded (unreadable, corrupt, or another
+    /// schema).
+    Checkpoint(CheckpointLoadError),
+    /// The checkpoint was written under another window geometry.
+    Geometry(String),
+    /// Writing a checkpoint failed.
+    Save(io::Error),
+}
+
+impl WatchError {
+    /// Whether the checkpoint existed but its *contents* were refused, as
+    /// [`CheckpointLoadError::is_invalid_data`] tells it.
+    pub fn is_invalid_data(&self) -> bool {
+        match self {
+            WatchError::Checkpoint(e) => e.is_invalid_data(),
+            WatchError::Geometry(_) => true,
+            WatchError::Save(_) => false,
+        }
+    }
+}
+
+impl fmt::Display for WatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WatchError::Checkpoint(e) => e.fmt(f),
+            WatchError::Geometry(detail) => f.write_str(detail),
+            WatchError::Save(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for WatchError {}
 
 /// Record the run's series into `metrics` (end-of-run totals, matching the
 /// batch pipeline's convention).
@@ -746,56 +769,52 @@ fn record_watch_metrics(
 }
 
 /// Run the streaming daemon over `source` until shutdown, the quiescent
-/// point ([`StreamTuning::quiesce_after`]), or a terminal delivery error
-/// (reconnect budget exhausted).
+/// point ([`StreamTuning::quiesce_after`]), or an abort (reconnect or
+/// decode error budget exhausted, reported in the outcome's
+/// [`IngestReport::aborted`]).
 ///
 /// The loop per decoded record: fold each observation into the windowed
 /// classifier (advance-before-fold) and the cumulative accumulator; at
-/// record boundaries, honor the crash injection and the checkpoint cadence
-/// (checkpoints are only ever written at record boundaries so the cursor
-/// is consistent with exactly the folds performed). On exit a final
+/// record boundaries after a window advance, honor the crash injection and
+/// write a checkpoint (only ever at record boundaries, so the cursor is
+/// consistent with exactly the folds performed). On exit a final
 /// reclassification brings labels up to date with the head bucket, a final
-/// checkpoint is flushed, and metrics are recorded — the same path for
-/// graceful shutdown and quiesce.
+/// checkpoint is flushed unless the stream aborted, and metrics are
+/// recorded — the same path for graceful shutdown, quiesce and abort.
 pub fn run_watch<S: StreamSource>(
     source: S,
     siblings: &SiblingMap,
     opts: &WatchOptions,
     shutdown: Arc<AtomicBool>,
-) -> io::Result<WatchOutcome> {
+) -> Result<WatchOutcome, WatchError> {
     let mut resumed = false;
-    let (mut classifier, mut cumulative, cursor_base, base_records, mut observations) = match opts
-        .checkpoint
-        .as_deref()
-    {
-        Some(path) if path.exists() => {
-            let cp = WatchCheckpoint::load(path).map_err(io::Error::from)?;
-            if cp.window_secs != opts.window.window_secs || cp.windows != opts.window.windows {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
+    let (mut classifier, mut cumulative, cursor_base, base_records, mut observations) =
+        match opts.checkpoint.as_deref() {
+            Some(path) if path.exists() => {
+                let cp = WatchCheckpoint::load(path).map_err(WatchError::Checkpoint)?;
+                if cp.window_secs != opts.window.window_secs || cp.windows != opts.window.windows {
+                    return Err(WatchError::Geometry(format!(
                         "checkpoint window geometry {}s x {} does not match requested {}s x {}",
                         cp.window_secs, cp.windows, opts.window.window_secs, opts.window.windows
-                    ),
-                ));
+                    )));
+                }
+                resumed = true;
+                (
+                    WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
+                    StatsAccumulator::from_snapshot(cp.cumulative, siblings),
+                    cp.cursor,
+                    cp.records,
+                    cp.observations,
+                )
             }
-            resumed = true;
-            (
-                WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
-                StatsAccumulator::from_snapshot(cp.cumulative, siblings),
-                cp.cursor,
-                cp.records,
-                cp.observations,
-            )
-        }
-        _ => (
-            WindowedClassifier::new(opts.window, opts.infer.clone()),
-            StatsAccumulator::new(),
-            0,
-            0,
-            0,
-        ),
-    };
+            _ => (
+                WindowedClassifier::new(opts.window, opts.infer.clone()),
+                StatsAccumulator::new(),
+                0,
+                0,
+                0,
+            ),
+        };
 
     let counters = Arc::new(StreamCounters::default());
     let stream = ResumingStream::new(
@@ -807,8 +826,6 @@ pub fn run_watch<S: StreamSource>(
     );
     let mut decoder = StreamDecoder::new(stream, opts.recover.clone());
 
-    let checkpoint_every = opts.checkpoint_every.max(1);
-    let mut last_checkpoint_advance = classifier.advances();
     let mut batch: Vec<Observation> = Vec::new();
     loop {
         batch.clear();
@@ -836,40 +853,27 @@ pub fn run_watch<S: StreamSource>(
                 }
             }
             if let Some(path) = opts.checkpoint.as_deref() {
-                if classifier.advances() - last_checkpoint_advance >= checkpoint_every {
-                    let cursor = cursor_base + decoder.consumed_bytes();
-                    let records = base_records + decoder.records_decoded();
-                    WatchCheckpoint::capture(
-                        &classifier,
-                        &cumulative,
-                        cursor,
-                        records,
-                        observations,
-                    )
-                    .save_atomic(path)?;
-                    last_checkpoint_advance = classifier.advances();
-                }
+                let cursor = cursor_base + decoder.consumed_bytes();
+                let records = base_records + decoder.records_decoded();
+                WatchCheckpoint::capture(&classifier, &cumulative, cursor, records, observations)
+                    .save_atomic(path)
+                    .map_err(WatchError::Save)?;
             }
         }
     }
 
+    // Bring labels up to date with the head bucket's folds. A quiescent or
+    // shutting-down run then flushes a final checkpoint so a restart
+    // resumes from here instead of re-delivering the tail; an aborted one
+    // keeps the last checkpoint written before the abort.
     let report = decoder.report();
-    if let Some(reason) = &report.aborted {
-        return Err(io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            reason.clone(),
-        ));
-    }
-
-    // Quiescent (or shutting down): bring labels up to date with the head
-    // bucket's folds, then flush a final checkpoint so a restart resumes
-    // from here instead of re-delivering the tail.
     classifier.reclassify(siblings);
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
-    if let Some(path) = opts.checkpoint.as_deref() {
+    if let (Some(path), None) = (opts.checkpoint.as_deref(), &report.aborted) {
         WatchCheckpoint::capture(&classifier, &cumulative, cursor, records, observations)
-            .save_atomic(path)?;
+            .save_atomic(path)
+            .map_err(WatchError::Save)?;
     }
 
     let stats = cumulative.to_stats();

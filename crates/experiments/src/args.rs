@@ -48,12 +48,20 @@ impl Args {
 
     /// A typed value like `--seed 42`, with a default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value {raw:?} for --{name}")),
-        }
+        Ok(self.get_opt(name)?.unwrap_or(default))
+    }
+
+    /// A typed value like `--max-errors 5` that has no default: `None`
+    /// when the flag is absent, the same error as [`Args::get`] when its
+    /// value does not parse.
+    pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.values
+            .get(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value {raw:?} for --{name}"))
+            })
+            .transpose()
     }
 
     /// An optional string value like `--json out.json`.
@@ -112,6 +120,17 @@ mod tests {
         assert_eq!(a.get_all("mrt"), vec!["rib.mrt", "updates.mrt"]);
         assert_eq!(a.get_str("mrt"), Some("updates.mrt"));
         assert!(a.get_all("json").is_empty());
+    }
+
+    #[test]
+    fn optional_values() {
+        let a = parse("--max-errors 5 --quiesce-after x");
+        assert_eq!(a.get_opt::<u64>("max-errors").unwrap(), Some(5));
+        assert_eq!(a.get_opt::<u64>("inject-flaky").unwrap(), None);
+        assert_eq!(
+            a.get_opt::<u64>("quiesce-after").unwrap_err(),
+            "invalid value \"x\" for --quiesce-after"
+        );
     }
 
     #[test]
